@@ -218,7 +218,8 @@ void Run(const ServeBenchConfig& config) {
       "  swaps: clean epoch %llu->%llu (%llu in window), chaos %llu->%llu "
       "(%llu in window), 0 blocked\n"
       "  SLO: fired and resolved (%llu transitions)\n",
-      static_cast<unsigned long long>(report.requests), config.duration_ms,
+      static_cast<unsigned long long>(report.requests),
+      static_cast<long long>(config.duration_ms),
       static_cast<unsigned long long>(report.answered),
       static_cast<unsigned long long>(report.degraded),
       static_cast<unsigned long long>(report.denied),

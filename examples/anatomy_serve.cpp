@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
     std::printf("published %-12s epoch %llu (%lld rows, %lld nodes, l=%lld)\n",
                 names[p], static_cast<unsigned long long>(
                               catalog.Find(names[p])->epoch()),
-                n, nodes, l);
+                static_cast<long long>(n), static_cast<long long>(nodes),
+                static_cast<long long>(l));
   }
 
   // ---- Tenants: an unrestricted analyst and a COUNT-only auditor. ----

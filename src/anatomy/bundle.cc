@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -70,20 +71,26 @@ StatusOr<PublicationManifest> ParseManifest(const std::string& text) {
                                      std::string(trimmed));
     }
     const std::string key(Trim(trimmed.substr(0, eq)));
-    const std::string value(Trim(trimmed.substr(eq + 1)));
-    char* end = nullptr;
-    const long long v = std::strtoll(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || v < 0) {
-      return Status::InvalidArgument("bad manifest value for '" + key + "'");
-    }
+    const std::string_view value = Trim(trimmed.substr(eq + 1));
+    // Each key's range is what its field can hold, so nothing narrows.
+    const auto parse = [&](int64_t min, int64_t max) {
+      return ParseInt64InRange(value, min, max, "manifest key '" + key + "'");
+    };
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
     if (key == "format_version") {
+      ANATOMY_ASSIGN_OR_RETURN(const int64_t v, parse(0, kIntMax));
       manifest.format_version = static_cast<int>(v);
       saw_version = true;
     } else if (key == "l") {
+      ANATOMY_ASSIGN_OR_RETURN(const int64_t v, parse(1, kIntMax));
       manifest.l = static_cast<int>(v);
     } else if (key == "rows") {
+      ANATOMY_ASSIGN_OR_RETURN(
+          const int64_t v, parse(0, std::numeric_limits<RowId>::max()));
       manifest.rows = static_cast<RowId>(v);
     } else if (key == "groups") {
+      ANATOMY_ASSIGN_OR_RETURN(
+          const int64_t v, parse(0, std::numeric_limits<GroupId>::max()));
       manifest.groups = static_cast<size_t>(v);
     } else {
       return Status::InvalidArgument("unknown manifest key '" + key + "'");

@@ -1,10 +1,18 @@
 #include "common/thread_pool.h"
 
+#include <chrono>
 #include <utility>
 
 #include "common/check.h"
 
 namespace anatomy {
+
+namespace {
+
+// RunPendingThenWait()'s spin budget: well above a sub-millisecond task.
+constexpr std::chrono::microseconds kWaitSpin{2000};
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
@@ -57,6 +65,26 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
+  all_done_.wait(lock, [this] { return in_flight_ == 0; });
+}
+
+void ThreadPool::RunPendingThenWait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!queue_.empty()) {
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
+    if (--in_flight_ == 0) all_done_.notify_all();
+  }
+  // What is left is running on the workers.
+  const auto spin_end = std::chrono::steady_clock::now() + kWaitSpin;
+  while (in_flight_ > 0 && std::chrono::steady_clock::now() < spin_end) {
+    lock.unlock();
+    std::this_thread::yield();
+    lock.lock();
+  }
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 

@@ -39,6 +39,14 @@ class ThreadPool {
   /// Blocks until every task submitted so far has finished.
   void Wait();
 
+  /// Wait(), but the calling thread first runs every queued task that no
+  /// worker has started, so a worker that is slow to wake never holds the
+  /// caller back. It then waits only on tasks already running, yielding in
+  /// a loop for up to 2 ms before it blocks: a thread that blocks can idle
+  /// its CPU, and an idle CPU of a shared host can take milliseconds to
+  /// wake. Tasks must tolerate running on the calling thread.
+  void RunPendingThenWait();
+
   /// Splits [0, n) into num_threads() contiguous shards and runs
   /// fn(shard, begin, end) for each on the pool, blocking until all shards
   /// complete. Shard boundaries depend only on (n, num_threads()), so a

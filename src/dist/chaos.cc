@@ -12,7 +12,6 @@
 #include "dist/cluster.h"
 #include "dist/scatter_gather.h"
 #include "obs/flightrec.h"
-#include "query/estimator_scratch.h"
 #include "query/group_kernels.h"
 #include "table/schema.h"
 #include "workload/workload.h"
@@ -231,10 +230,8 @@ StatusOr<ChaosReport> RunChaosSweep(const ChaosOptions& options) {
                                       ref_tables.status().ToString());
           continue;
         }
-        AnatomyQueryEngine ref_engine(ref_tables.value(), EstimatorOptions{});
-        EstimatorScratch scratch;
-        const GroupId total_groups =
-            static_cast<GroupId>(ref_tables.value().num_groups());
+        const AnatomizedTables& ref = ref_tables.value();
+        const GroupId total_groups = static_cast<GroupId>(ref.num_groups());
 
         // Per-node global group ranges and row counts, for honesty checks.
         struct NodeSpan {
@@ -299,14 +296,11 @@ StatusOr<ChaosReport> RunChaosSweep(const ChaosOptions& options) {
             MixedWorkloadGenerator generator,
             MixedWorkloadGenerator::Create(md1, wopts));
 
-        std::vector<AnatomyQueryEngine::GroupAggregatePartial> ref_partials;
         for (size_t qi = 0; qi < options.queries_per_scenario; ++qi) {
           const AggregateQuery query = generator.Next();
           const bool need_sum = query.kind == AggregateKind::kSum;
-          ref_engine.CollectGroupPartials(query.predicates, need_sum,
-                                          query.measure_qi, scratch,
-                                          &ref_partials);
-          const CanonicalFoldResult full = CanonicalFold(ref_partials);
+          const CanonicalFoldResult full = CanonicalFold(ScanSizeClassPartials(
+              ref, query.predicates, need_sum, query.measure_qi));
           const double full_value = need_sum ? full.sum : full.count;
 
           ++report.queries;
@@ -401,11 +395,9 @@ StatusOr<ChaosReport> RunChaosSweep(const ChaosOptions& options) {
           }
           // Honesty 2: the partial value is the EXACT fold over precisely
           // the responding nodes' groups — bit-identical, not approximate.
-          std::vector<AnatomyQueryEngine::GroupAggregatePartial> covered;
-          for (const auto& p : ref_partials) {
-            if (group_covered[p.group]) covered.push_back(p);
-          }
-          const CanonicalFoldResult pf = CanonicalFold(covered);
+          const CanonicalFoldResult pf = CanonicalFold(
+              ScanSizeClassPartials(ref, query.predicates, need_sum,
+                                    query.measure_qi, group_covered));
           const double partial_value = need_sum ? pf.sum : pf.count;
           if (partial_value != est.value) {
             report.violations.push_back(
@@ -440,10 +432,8 @@ StatusOr<ChaosReport> RunChaosSweep(const ChaosOptions& options) {
                          &report.violations);
         const AggregateQuery query = generator.Next();
         const bool need_sum = query.kind == AggregateKind::kSum;
-        ref_engine.CollectGroupPartials(query.predicates, need_sum,
-                                        query.measure_qi, scratch,
-                                        &ref_partials);
-        const CanonicalFoldResult full = CanonicalFold(ref_partials);
+        const CanonicalFoldResult full = CanonicalFold(ScanSizeClassPartials(
+            ref, query.predicates, need_sum, query.measure_qi));
         const double full_value = need_sum ? full.sum : full.count;
         StatusOr<PartialEstimate> r = estimator.Estimate(query);
         if (!r.ok() || !r.value().exact || r.value().value != full_value) {

@@ -5,11 +5,12 @@
 // with coordinator kill points of the two-phase epoch swap, over several
 // seeds — and asserts the system's single safety contract on every query:
 //
-//   every response is EXACT (bit-identical to the single-node fold over the
-//   merged tables), or an honestly-labeled PARTIAL (its value is the exact
-//   fold over precisely the groups of the nodes that responded, its
-//   covered_mass is those nodes' true row fraction, and its bounds contain
-//   the true full answer), or a CLEAN ERROR. Never a silently wrong number.
+//   every response is EXACT (bit-identical to the size-class fold of a row
+//   scan over the merged tables), or an honestly-labeled PARTIAL (its value
+//   is the same fold over precisely the groups of the nodes that responded,
+//   its covered_mass is those nodes' true row fraction, and its bounds
+//   contain the true full answer), or a CLEAN ERROR. Never a silently wrong
+//   number.
 //
 // For kill scenarios the harness additionally heals the disks, runs
 // Recover(), and asserts the fleet landed on one consistent epoch — the old

@@ -58,7 +58,11 @@ Status DistNode::Activate(const StorageManifest& manifest, uint64_t epoch,
         std::to_string(tables.num_groups()));
   }
   tables_ = std::make_unique<AnatomizedTables>(std::move(tables));
-  engine_ = std::make_unique<AnatomyQueryEngine>(*tables_, EstimatorOptions{});
+  // No predicate cache: scatter-gather traffic rarely repeats a predicate,
+  // and a cache would keep a bitmap of every one it saw.
+  EstimatorOptions engine_options;
+  engine_options.predcache.enabled = false;
+  engine_ = std::make_unique<AnatomyQueryEngine>(*tables_, engine_options);
   manifest_ = manifest;
   epoch_ = epoch;
   group_count_ = group_count;
@@ -77,19 +81,18 @@ void DistNode::Deactivate() {
   rows_ = 0;
 }
 
-DistNode::ServeResult DistNode::Serve(const CountQuery& query, bool need_sum,
-                                      size_t measure_qi, uint64_t budget_ns,
-                                      Rng& rng,
-                                      const obs::TraceContext* trace) {
+DistNode::ServeResult DistNode::Attempt(uint64_t budget_ns, Rng& rng,
+                                        const obs::TraceContext* trace) {
   ServeResult out;
   out.rows = rows_;
 
   // Emits this request's virtual-time spans on the coordinator-chosen lane:
   // a "serve" span covering the whole call, with a "probe" child covering
-  // the storage touch (its duration is the injected stall) and a "partials"
-  // child covering the estimate compute. Tracing is strictly out-of-band —
-  // nothing below feeds back into timing or results.
-  auto emit_spans = [&](bool probed, uint64_t stall_ns, int64_t groups) {
+  // the storage touch (its duration is the injected stall) and, when the
+  // node answers, a "partials" child covering the estimate compute.
+  // Tracing is strictly out-of-band — nothing below feeds back into timing
+  // or results.
+  auto emit_spans = [&](bool probed, uint64_t stall_ns, bool computes) {
     if (trace == nullptr || !trace->recording) return;
     obs::TraceRecorder& tracer = obs::TraceRecorder::Global();
     if (!tracer.enabled()) return;
@@ -122,7 +125,7 @@ DistNode::ServeResult DistNode::Serve(const CountQuery& query, bool need_sum,
       probe_ev.AddArg("stall_ns", static_cast<int64_t>(stall_ns));
       tracer.RecordEvent(probe_ev);
     }
-    if (groups >= 0) {
+    if (computes) {
       obs::TraceEvent part_ev;
       part_ev.name = "dist.node.partials";
       part_ev.category = "dist";
@@ -133,13 +136,12 @@ DistNode::ServeResult DistNode::Serve(const CountQuery& query, bool need_sum,
       part_ev.parent_id = serve.span_id;
       part_ev.lane = trace->lane;
       part_ev.virtual_time = true;
-      part_ev.AddArg("groups", groups);
       tracer.RecordEvent(part_ev);
     }
   };
 
-  // Draw the jitter FIRST and unconditionally: one draw per Serve keeps the
-  // coordinator's RNG stream aligned no matter how the call ends.
+  // Draw the jitter FIRST and unconditionally: one draw per attempt keeps
+  // the coordinator's RNG stream aligned no matter how the call ends.
   const uint64_t jitter = options_.service_jitter_ns > 0
                               ? rng.NextBounded(options_.service_jitter_ns)
                               : 0;
@@ -149,7 +151,7 @@ DistNode::ServeResult DistNode::Serve(const CountQuery& query, bool need_sum,
     out.service_ns = options_.base_service_ns + jitter;
     out.status =
         Status::FailedPrecondition("node has no active publication");
-    emit_spans(/*probed=*/false, /*stall_ns=*/0, /*groups=*/-1);
+    emit_spans(/*probed=*/false, /*stall_ns=*/0, /*computes=*/false);
     return out;
   }
 
@@ -161,22 +163,37 @@ DistNode::ServeResult DistNode::Serve(const CountQuery& query, bool need_sum,
   out.service_ns = options_.base_service_ns + jitter + stall_ns;
   if (!probe.ok()) {
     out.status = std::move(probe);
-    emit_spans(/*probed=*/true, stall_ns, /*groups=*/-1);
+    emit_spans(/*probed=*/true, stall_ns, /*computes=*/false);
     return out;
   }
   if (out.service_ns > budget_ns) {
     // Deadline propagation: the coordinator will have hung up by the time
     // this response lands, so skip the compute entirely.
     out.late = true;
-    emit_spans(/*probed=*/true, stall_ns, /*groups=*/-1);
+    emit_spans(/*probed=*/true, stall_ns, /*computes=*/false);
     return out;
   }
 
-  engine_->CollectGroupPartials(query, need_sum, measure_qi, scratch_,
-                                &out.partials);
-  for (auto& p : out.partials) p.group += group_offset_;
-  emit_spans(/*probed=*/true, stall_ns,
-             static_cast<int64_t>(out.partials.size()));
+  emit_spans(/*probed=*/true, stall_ns, /*computes=*/true);
+  return out;
+}
+
+void DistNode::ComputePartials(
+    const CountQuery& query, bool need_sum, size_t measure_qi,
+    std::vector<AnatomyQueryEngine::GroupAggregatePartial>* out) {
+  ANATOMY_CHECK(active());
+  engine_->CollectSizeClassPartials(query, need_sum, measure_qi, scratch_,
+                                    out);
+}
+
+DistNode::ServeResult DistNode::Serve(const CountQuery& query, bool need_sum,
+                                      size_t measure_qi, uint64_t budget_ns,
+                                      Rng& rng,
+                                      const obs::TraceContext* trace) {
+  ServeResult out = Attempt(budget_ns, rng, trace);
+  if (out.answered()) {
+    ComputePartials(query, need_sum, measure_qi, &out.partials);
+  }
   return out;
 }
 

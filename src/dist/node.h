@@ -6,21 +6,19 @@
 // manifest of the shard's QIT/ST, the in-memory published view rebuilt from
 // those files, and a group-clustered AnatomyQueryEngine over it.
 //
-// Serving is simulated in VIRTUAL time: Serve() returns the partial
-// aggregates together with the service duration the call would have taken
-// (base latency + seeded uniform jitter + any stall the fault schedule
-// injected into the per-request storage probe). Nothing sleeps; the
-// coordinator (src/dist/scatter_gather.h) charges the duration against the
-// query deadline, which is what makes the chaos harness deterministic and
-// fast while still exercising real deadline/hedge/retry logic.
+// A request has two steps. Attempt() is the VIRTUAL-time model: it draws
+// the service duration the call would have taken (base latency + seeded
+// uniform jitter + any stall the fault schedule injected into the
+// per-request storage probe) and decides whether the node answers. Nothing
+// sleeps; the coordinator (src/dist/scatter_gather.h) charges the duration
+// against the query deadline, which is what makes the chaos harness
+// deterministic and fast while still exercising real deadline/hedge/retry
+// logic. ComputePartials() is the real work: the node's size-class partial
+// aggregates, measured in wall time. Serve() is one of each.
 //
-// Group ids: the node's own tables use dense local ids [0, group_count);
-// Serve() translates to global ids by the epoch's group offset, so the
-// coordinator can merge partials from different nodes without a mapping
-// table.
-//
-// Thread safety: none. Each node is driven by one coordinator at a time
-// (the scatter-gather fan-out is itself simulated sequentially).
+// Thread safety: one coordinator drives Attempt() and everything else. The
+// coordinator may run ComputePartials() of different nodes concurrently:
+// each touches only its own engine and scratch.
 
 #ifndef ANATOMY_DIST_NODE_H_
 #define ANATOMY_DIST_NODE_H_
@@ -94,7 +92,7 @@ class DistNode {
     /// OK, transient (retryable by the coordinator), or permanent.
     Status status;
     /// Server-side deadline propagation: the drawn service time already
-    /// exceeded the request's budget, so the node skipped the estimate
+    /// exceeded the request's budget, so the node skips the estimate
     /// computation. status is OK but partials are empty.
     bool late = false;
     /// Virtual duration of this call (base + jitter + injected stalls).
@@ -102,20 +100,34 @@ class DistNode {
     /// The node's rows (repeated here so the gather step can account
     /// coverage without a side lookup).
     uint64_t rows = 0;
-    /// Per-group exact partials, group ids already global.
+    /// Exact size-class partials (Serve() only; Attempt() leaves it empty).
     std::vector<AnatomyQueryEngine::GroupAggregatePartial> partials;
+
+    /// The node answered: ComputePartials() is owed.
+    bool answered() const { return status.ok() && !late; }
   };
 
-  /// One simulated request. `budget_ns` is the deadline budget the
-  /// coordinator propagates; `rng` supplies the jitter draw (exactly one per
-  /// call, so coordinator-side replay is deterministic). Every call probes
-  /// the manifest root on the faulted disk — that read is where crashes,
-  /// transients, corruption, and stalls of the node's device surface.
+  /// The virtual-time step of one simulated request. `budget_ns` is the
+  /// deadline budget the coordinator propagates; `rng` supplies the jitter
+  /// draw (exactly one per call, so coordinator-side replay is
+  /// deterministic). Every call probes the manifest root on the faulted
+  /// disk — that read is where crashes, transients, corruption, and stalls
+  /// of the node's device surface.
   ///
   /// `trace`, when non-null and recording, carries the coordinator's causal
   /// identity: the call emits virtual-time child spans (serve/probe/partials)
   /// on the context's lane under the context's parent span, so a merged
   /// export shows all N nodes of a query on one timeline.
+  ServeResult Attempt(uint64_t budget_ns, Rng& rng,
+                      const obs::TraceContext* trace = nullptr);
+
+  /// The compute step: this node's size-class partials for `query` into
+  /// *out. Requires active().
+  void ComputePartials(
+      const CountQuery& query, bool need_sum, size_t measure_qi,
+      std::vector<AnatomyQueryEngine::GroupAggregatePartial>* out);
+
+  /// Attempt(), then ComputePartials() into the result when it answered.
   ServeResult Serve(const CountQuery& query, bool need_sum, size_t measure_qi,
                     uint64_t budget_ns, Rng& rng,
                     const obs::TraceContext* trace = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -26,23 +27,33 @@ void LogFlight(obs::FlightEventType type, obs::ReasonCode reason, uint64_t t_ns,
   obs::FlightRecorder::Global().Log(r);
 }
 
+// Workers beside the calling thread for the node computes: together they
+// use at most half the hardware threads, and at least two. A query whose
+// computes need every CPU at once stalls whenever anything else takes one
+// of them, be it another process or the host preempting a vCPU.
+size_t ComputeWorkers(size_t nodes) {
+  const size_t half = std::thread::hardware_concurrency() / 2;
+  return std::max<size_t>(std::min(nodes, half), 2) - 1;
+}
+
 }  // namespace
 
-// noinline is load-bearing: the fold's bit-identity contract requires every
-// caller (the estimator, the chaos harness, the tests) to run the SAME
-// machine code. Inlined copies may be FP-contracted differently (FMA under
-// -march=native + -ffp-contract=fast) than the out-of-line symbol, which
-// breaks exact == comparisons by one ULP.
-__attribute__((noinline)) CanonicalFoldResult CanonicalFold(
+CanonicalFoldResult CanonicalFold(
     std::span<const AnatomyQueryEngine::GroupAggregatePartial> partials) {
+  std::vector<AnatomyQueryEngine::GroupAggregatePartial> by_size(
+      partials.begin(), partials.end());
+  std::sort(by_size.begin(), by_size.end(),
+            [](const auto& a, const auto& b) { return a.size < b.size; });
   CanonicalFoldResult r;
-  for (const auto& p : partials) {
-    // Same schedule as the group-clustered kernels: mass * (1/|g|), then one
-    // accumulator per aggregate in ascending global group order.
-    const double w =
-        static_cast<double>(p.mass) * (1.0 / static_cast<double>(p.size));
-    r.count += w * static_cast<double>(p.match);
-    r.sum += w * p.value_sum;
+  for (size_t i = 0; i < by_size.size();) {
+    AnatomyQueryEngine::GroupAggregatePartial total = by_size[i];
+    for (++i; i < by_size.size() && by_size[i].size == total.size; ++i) {
+      total.mass_match += by_size[i].mass_match;
+      total.mass_value += by_size[i].mass_value;
+    }
+    const double size = static_cast<double>(total.size);
+    r.count += static_cast<double>(total.mass_match) / size;
+    r.sum += static_cast<double>(total.mass_value) / size;
   }
   return r;
 }
@@ -51,7 +62,8 @@ ScatterGatherEstimator::ScatterGatherEstimator(DistCluster* cluster,
                                                const DistQueryOptions& options)
     : cluster_(cluster),
       options_(options),
-      latency_(std::max<size_t>(options.hedge_quantile_window, 1)) {
+      latency_(std::max<size_t>(options.hedge_quantile_window, 1)),
+      pool_(ComputeWorkers(cluster->num_nodes())) {
   // The retry schedule always jitters: synchronized retries from a fan-out
   // are exactly the thundering herd full jitter exists to break up.
   options_.retry.full_jitter = true;
@@ -67,8 +79,7 @@ uint64_t ScatterGatherEstimator::CurrentHedgeDelayNs() {
 }
 
 ScatterGatherEstimator::NodeAttempt ScatterGatherEstimator::QueryNode(
-    size_t i, const CountQuery& predicates, bool need_sum, size_t measure_qi,
-    Rng& rng, PartialEstimate* stats, const obs::TraceContext& ctx) {
+    size_t i, Rng& rng, PartialEstimate* stats, const obs::TraceContext& ctx) {
   NodeAttempt out;
   DistNode* node = cluster_->node(i);
   const uint64_t deadline = options_.deadline_ns;
@@ -89,10 +100,10 @@ ScatterGatherEstimator::NodeAttempt ScatterGatherEstimator::QueryNode(
     }
     obs::TraceContext attempt_ctx = ctx;
     attempt_ctx.virtual_start_ns = ctx.virtual_start_ns + now;
-    DistNode::ServeResult primary = node->Serve(
-        predicates, need_sum, measure_qi, deadline - now, rng, &attempt_ctx);
+    const DistNode::ServeResult primary =
+        node->Attempt(deadline - now, rng, &attempt_ctx);
     const uint64_t primary_finish = now + primary.service_ns;
-    const bool primary_ok = primary.status.ok() && !primary.late;
+    const bool primary_ok = primary.answered();
     if (primary.late) registry.GetCounter("dist.deadline_propagated")->Increment();
 
     // Hedge: a duplicate launched hedge_delay after the primary, if the
@@ -110,10 +121,9 @@ ScatterGatherEstimator::NodeAttempt ScatterGatherEstimator::QueryNode(
       hedge_start = now + hedge_delay;
       obs::TraceContext hedge_ctx = ctx;
       hedge_ctx.virtual_start_ns = ctx.virtual_start_ns + hedge_start;
-      hedge = node->Serve(predicates, need_sum, measure_qi,
-                          deadline - hedge_start, rng, &hedge_ctx);
+      hedge = node->Attempt(deadline - hedge_start, rng, &hedge_ctx);
       hedge_finish = hedge_start + hedge.service_ns;
-      hedge_ok = hedge.status.ok() && !hedge.late;
+      hedge_ok = hedge.answered();
       if (hedge.late) {
         registry.GetCounter("dist.deadline_propagated")->Increment();
       }
@@ -129,13 +139,12 @@ ScatterGatherEstimator::NodeAttempt ScatterGatherEstimator::QueryNode(
                   ctx.virtual_start_ns + hedge_start, ctx.trace_id, epoch,
                   node_id, hedge_wins ? 1 : 0);
       }
-      DistNode::ServeResult* winner = hedge_wins ? &hedge : &primary;
+      const DistNode::ServeResult& winner = hedge_wins ? hedge : primary;
       if (hedge_wins) ++stats->hedge_wins;
       out.reason = obs::ReasonCode::kOk;
       out.finish_ns = hedge_wins ? hedge_finish : primary_finish;
-      out.rows = winner->rows;
-      out.partials = std::move(winner->partials);
-      latency_.Record(winner->service_ns);
+      out.rows = winner.rows;
+      latency_.Record(winner.service_ns);
       return out;
     }
     if (hedge_launched) {
@@ -206,12 +215,10 @@ StatusOr<PartialEstimate> ScatterGatherEstimator::Estimate(
   est.total_rows = cluster_->total_rows();
   est.reasons.assign(cluster_->num_nodes(), obs::ReasonCode::kNoShard);
 
-  // Fan out in node order — ascending global group ids, the canonical merge
-  // order. The fan-out is parallel in wall-clock terms: virtual_ns is the
-  // slowest node's completion, not the sum.
-  std::vector<AnatomyQueryEngine::GroupAggregatePartial> merged;
+  // The ladder, node by node in node order. The modelled fan-out is
+  // parallel: virtual_ns is the slowest node's completion, not the sum.
+  std::vector<DistNode*> answering;
   size_t shard_nodes = 0;
-  size_t responded = 0;
   for (size_t i = 0; i < cluster_->num_nodes(); ++i) {
     if (cluster_->record().nodes[i].root == kInvalidPageId) continue;
     ++shard_nodes;
@@ -221,16 +228,13 @@ StatusOr<PartialEstimate> ScatterGatherEstimator::Estimate(
     ctx.virtual_start_ns = qstart;
     ctx.lane = static_cast<uint32_t>(i) + 1;  // lane 0 is the coordinator
     ctx.recording = tracing;
-    NodeAttempt attempt = QueryNode(i, query.predicates, need_sum,
-                                    query.measure_qi, rng, &est, ctx);
+    const NodeAttempt attempt = QueryNode(i, rng, &est, ctx);
     est.reasons[i] = attempt.reason;
     est.virtual_ns = std::max(est.virtual_ns, attempt.finish_ns);
     switch (obs::ClassOf(attempt.reason)) {
       case obs::ReasonClass::kOkClass:
-        ++responded;
+        answering.push_back(cluster_->node(i));
         est.covered_rows += attempt.rows;
-        merged.insert(merged.end(), attempt.partials.begin(),
-                      attempt.partials.end());
         break;
       case obs::ReasonClass::kTimeoutClass:
         registry.GetCounter("dist.node_timeout")->Increment();
@@ -246,6 +250,7 @@ StatusOr<PartialEstimate> ScatterGatherEstimator::Estimate(
         break;
     }
   }
+  const size_t responded = answering.size();
   registry.GetCounter("dist.hedges")->Increment(est.hedges);
   registry.GetCounter("dist.hedge_wins")->Increment(est.hedge_wins);
   registry.GetCounter("dist.retries")->Increment(est.retries);
@@ -296,6 +301,26 @@ StatusOr<PartialEstimate> ScatterGatherEstimator::Estimate(
         std::to_string(shard_nodes) + " queried)");
   }
 
+  // The compute, in wall time: the answering nodes concurrently on this
+  // thread and the pool, each exactly once even when a hedge won its
+  // ladder. This thread computes the first, then takes any node no worker
+  // has started yet, so a query never waits on a worker that has not woken
+  // up.
+  if (node_partials_.size() < responded) node_partials_.resize(responded);
+  const auto compute = [&](size_t j) {
+    answering[j]->ComputePartials(query.predicates, need_sum,
+                                  query.measure_qi, &node_partials_[j]);
+  };
+  for (size_t j = 1; j < responded; ++j) {
+    pool_.Submit([&compute, j] { compute(j); });
+  }
+  compute(0);
+  pool_.RunPendingThenWait();
+  std::vector<AnatomyQueryEngine::GroupAggregatePartial> merged;
+  for (size_t j = 0; j < responded; ++j) {
+    merged.insert(merged.end(), node_partials_[j].begin(),
+                  node_partials_[j].end());
+  }
   const CanonicalFoldResult fold = CanonicalFold(merged);
   est.value = need_sum ? fold.sum : fold.count;
   est.exact = responded == shard_nodes;

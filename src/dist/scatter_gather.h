@@ -1,15 +1,19 @@
 // ScatterGatherEstimator: deadline-aware fan-out of COUNT/SUM aggregates
 // over a DistCluster, with hedged retries and an explicit degradation
-// ladder. All timing is VIRTUAL (see dist/node.h): nodes return the
-// duration a request would have taken and the coordinator does the deadline
-// arithmetic, so a full chaos sweep runs in milliseconds and is
-// bit-reproducible from a seed.
+// ladder. The ladder's timing is VIRTUAL (see dist/node.h): node attempts
+// return the duration a request would have taken and the coordinator does
+// the deadline arithmetic, so a full chaos sweep runs in milliseconds and
+// is bit-reproducible from a seed. The ladder runs node by node on the
+// calling thread; then, in wall time, the answering nodes compute their
+// partials concurrently: the first on the calling thread, the rest on the
+// estimator's thread pool, except those no worker has started by the time
+// the calling thread is free, which it computes itself.
 //
 // Degradation ladder (DESIGN.md §6), from best to worst:
 //
 //   exact     every shard-bearing node answered within the deadline
 //             (possibly thanks to a hedge). The merged estimate is
-//             BIT-IDENTICAL to the canonical fold over the merged
+//             BIT-IDENTICAL to the size-class fold over the merged
 //             single-node tables — distribution is invisible.
 //   hedged    same, but at least one answer came from a hedged duplicate
 //             request (dist.hedge_wins). Still exact.
@@ -36,6 +40,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "dist/cluster.h"
 #include "obs/flightrec.h"
 #include "obs/quantile.h"
@@ -92,7 +97,7 @@ struct PartialEstimate {
   /// event the query produced carries this id (allocated even when tracing
   /// is off, so recorder events stay matchable).
   uint64_t trace_id = 0;
-  /// Virtual end-to-end latency: slowest node completion in the simulated
+  /// Virtual end-to-end latency: slowest node completion in the modelled
   /// parallel fan-out.
   uint64_t virtual_ns = 0;
   /// Hedges launched / won and transient retries spent on this query.
@@ -101,12 +106,11 @@ struct PartialEstimate {
   uint64_t retries = 0;
 };
 
-/// The one true merge. Folding per-group exact partials in ascending global
-/// group order with a single accumulator per aggregate reproduces the
-/// single-node group-clustered estimate bit-for-bit (asserted against
-/// AnatomyQueryEngine::CollectGroupPartials over the merged tables in
-/// tests/dist_test.cc). Exposed so tests and the chaos harness can compute
-/// reference answers with the identical float schedule.
+/// The one true merge: adds N_s and V_s per group size (exact integers),
+/// then divides once per size in ascending s, with one accumulator per
+/// aggregate. The integer sums do not depend on the order or grouping of
+/// `partials`, so every node count, merge order and chunking gives the same
+/// bits (asserted in tests/query_kernels_test.cc and tests/dist_test.cc).
 struct CanonicalFoldResult {
   double count = 0.0;
   double sum = 0.0;
@@ -116,7 +120,9 @@ CanonicalFoldResult CanonicalFold(
 
 class ScatterGatherEstimator {
  public:
-  /// `cluster` must outlive the estimator.
+  /// `cluster` must outlive the estimator. Starts the node-compute
+  /// workers: with the calling thread, min(nodes, hardware threads / 2)
+  /// threads compute, and at least two.
   ScatterGatherEstimator(DistCluster* cluster,
                          const DistQueryOptions& options = {});
 
@@ -143,23 +149,27 @@ class ScatterGatherEstimator {
     obs::ReasonCode reason = obs::ReasonCode::kNoShard;
     uint64_t finish_ns = 0;
     uint64_t rows = 0;
-    std::vector<AnatomyQueryEngine::GroupAggregatePartial> partials;
   };
   /// Runs one node's full ladder (primary + hedge + retries) in virtual
   /// time, charging against the deadline. `stats` accumulates into the
   /// estimate being built; `ctx` carries the query's causal identity (node
   /// spans become children of the query's root span, stamped with virtual
   /// time from ctx.virtual_start_ns).
-  NodeAttempt QueryNode(size_t i, const CountQuery& predicates, bool need_sum,
-                        size_t measure_qi, Rng& rng, PartialEstimate* stats,
+  NodeAttempt QueryNode(size_t i, Rng& rng, PartialEstimate* stats,
                         const obs::TraceContext& ctx);
 
   DistCluster* cluster_;
   DistQueryOptions options_;
+  /// node_partials_[j]: the partials of the j-th answering node of the
+  /// current query (kept across queries so the steady state reuses them).
+  std::vector<std::vector<AnatomyQueryEngine::GroupAggregatePartial>>
+      node_partials_;
   obs::SlidingQuantile latency_;
   uint64_t query_index_ = 0;
   uint64_t virtual_now_ = 0;
   uint64_t last_trace_id_ = 0;
+  /// Last, so its workers are joined before what their tasks touch goes.
+  ThreadPool pool_;
 };
 
 }  // namespace anatomy

@@ -48,6 +48,10 @@ struct EstimatorScratch {
   /// Per-group weight mass_g / |g| for the weighted set-bit walk. Like
   /// group_mass_u32, fully assigned before use — no invariant.
   ArenaVector<double> group_weight;
+  /// Per-size-class N_s and V_s accumulators of CollectSizeClassPartials,
+  /// assigned at the start of each call.
+  std::vector<uint64_t> class_mass_match;
+  std::vector<__int128> class_mass_value;
   /// Predicate-cache leases pinning the bitmaps one call reads; refreshed
   /// at the start of the next call (see PredicateBitmapCache: a lease keeps
   /// its bitmap alive across eviction). A batched call pins every distinct

@@ -1,6 +1,7 @@
 #include "query/group_kernels.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/check.h"
 
@@ -46,12 +47,15 @@ void ForEachMassGroup(bool dense, GroupId num_groups,
 
 }  // namespace
 
-double NumericValue(const AttributeDef& attr, Code code) {
+int64_t IntegerValue(const AttributeDef& attr, Code code) {
   if (attr.kind == AttributeKind::kNumerical) {
-    return static_cast<double>(attr.numeric_base +
-                               static_cast<int64_t>(code) * attr.numeric_step);
+    return attr.numeric_base + static_cast<int64_t>(code) * attr.numeric_step;
   }
-  return static_cast<double>(code);
+  return code;
+}
+
+double NumericValue(const AttributeDef& attr, Code code) {
+  return static_cast<double>(IntegerValue(attr, code));
 }
 
 AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
@@ -111,9 +115,29 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
   for (GroupId g = 0; g < m; ++g) {
     inv_group_size_[g] = 1.0 / static_cast<double>(tables.group_size(g));
   }
+  class_size_.reserve(m);
+  for (GroupId g = 0; g < m; ++g) class_size_.push_back(tables.group_size(g));
+  std::sort(class_size_.begin(), class_size_.end());
+  class_size_.erase(std::unique(class_size_.begin(), class_size_.end()),
+                    class_size_.end());
+  class_size_.shrink_to_fit();
+  size_class_.resize(m);
+  for (GroupId g = 0; g < m; ++g) {
+    size_class_[g] = static_cast<uint32_t>(
+        std::lower_bound(class_size_.begin(), class_size_.end(),
+                         tables.group_size(g)) -
+        class_size_.begin());
+  }
   perm_values_.resize(d);
+  exact_values_.resize(d);
   for (size_t col = 0; col < d; ++col) {
     const AttributeDef& attr = qit.schema().attribute(col);
+    // Values are monotone in the code, so the two ends bound them all.
+    constexpr int64_t kExact = int64_t{1} << 53;
+    const int64_t lo = IntegerValue(attr, 0);
+    const int64_t hi = IntegerValue(attr, attr.domain_size - 1);
+    exact_values_[col] =
+        lo >= -kExact && lo <= kExact && hi >= -kExact && hi <= kExact;
     const auto& codes = qit.column(col);
     perm_values_[col].resize(n);
     for (RowId i = 0; i < n; ++i) {
@@ -196,6 +220,35 @@ void AnatomyQueryEngine::ComputeDenseMass(const AttributePredicate& spred,
         }
       });
   if (first) std::fill_n(mass, m, 0u);
+}
+
+void AnatomyQueryEngine::ComputeGroupMass(const AttributePredicate& spred,
+                                          EstimatorScratch& scratch) const {
+  // A scatter entry into this u32 array measured as cheap as one group of
+  // a dense pass, so the dense path wins only with fewer run x group steps
+  // than postings entries.
+  uint64_t entries = 0;
+  for (Code v : spred.values()) {
+    if (v >= 0 && static_cast<size_t>(v) < postings_.size()) {
+      entries += postings_[v].size();
+    }
+  }
+  const size_t m = tables_->num_groups();
+  if (!prefix_mass_.empty()) {
+    uint64_t runs = 0;
+    spred.ForEachRun(static_cast<Code>(prefix_mass_.size()),
+                     [&runs](Code, Code) { ++runs; });
+    if (runs * m < entries) {
+      ComputeDenseMass(spred, scratch);
+      return;
+    }
+  }
+  scratch.group_mass_u32.assign(m, 0);
+  uint32_t* mass = scratch.group_mass_u32.data();
+  for (Code v : spred.values()) {
+    if (v < 0 || static_cast<size_t>(v) >= postings_.size()) continue;
+    for (const auto& [g, count] : postings_[v]) mass[g] += count;
+  }
 }
 
 void AnatomyQueryEngine::ComputeDenseWeights(const AttributePredicate& spred,
@@ -520,55 +573,73 @@ AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateClustered(
   return out;
 }
 
-void AnatomyQueryEngine::CollectGroupPartials(
+void AnatomyQueryEngine::CollectSizeClassPartials(
     const CountQuery& query, bool need_sum, size_t measure_qi,
     EstimatorScratch& scratch,
     std::vector<GroupAggregatePartial>* out) const {
   ANATOMY_CHECK(options_.mode == KernelMode::kGroupClustered);
   out->clear();
-  // Always the sparse-postings mass here: its per-group sums are exact
-  // integers regardless of predicate shape, which is what makes the
-  // partials mergeable without FP-order concerns.
-  if (!AccumulateSparseMass(query.sensitive_predicate, scratch)) return;
-  std::sort(scratch.touched_groups.begin(), scratch.touched_groups.end());
-
+  ComputeGroupMass(query.sensitive_predicate, scratch);
   scratch.pred_refs.clear();
   const Bitmap* fold =
       FoldPredicates(query.qi_predicates, query.qi_predicates.size(), scratch,
                      /*prepared=*/nullptr);
-  const size_t* gs = group_start_.data();
-  const double* vals = need_sum ? perm_values_[measure_qi].data() : nullptr;
-  out->reserve(scratch.touched_groups.size());
-  for (GroupId g : scratch.touched_groups) {
-    const size_t lo = gs[g];
-    const size_t hi = gs[g + 1];
-    GroupAggregatePartial p;
-    p.group = g;
-    p.size = static_cast<uint32_t>(hi - lo);
-    p.mass = static_cast<uint64_t>(scratch.group_mass[g]);
-    // value_sum accumulates in ascending permuted-row order with a single
-    // accumulator — the canonical order every replica of this group's rows
-    // shares, so node-side and merged-side sums are the same FP sequence.
-    double acc = 0.0;
-    if (fold == nullptr) {
-      p.match = static_cast<uint64_t>(hi - lo);
+
+  // One pass over the matching rows (every row when there is no QI
+  // predicate): row i of group g adds mass_g to N and mass_g * value_i to V
+  // of g's size class. Groups without mass add exact zeros, so the loop
+  // needs no branch. Rows rotate over kLanes accumulator copies: most rows
+  // share one class, and a single copy would chain every add through
+  // memory.
+  constexpr size_t kLanes = 4;
+  const size_t classes = class_size_.size();
+  scratch.class_mass_match.assign(kLanes * classes, 0);
+  scratch.class_mass_value.assign(kLanes * classes, 0);
+  uint64_t* nm = scratch.class_mass_match.data();
+  __int128* nv = scratch.class_mass_value.data();
+  const uint32_t* mass = scratch.group_mass_u32.data();
+  const uint32_t* cls = size_class_.data();
+  const uint32_t* base = word_group_base_.data();
+  const uint8_t* off = bit_group_offset_.data();
+  // Not size_t: a uint64_t counter could alias the nm stores, which would
+  // force it through memory on every row.
+  uint32_t lane = 0;
+  const auto for_each_match = [&](auto&& value_at) {
+    const auto visit = [&](size_t i) {
+      const GroupId g = base[i >> 6] + off[i];
+      const size_t slot = cls[g] * kLanes + (lane++ & (kLanes - 1));
+      nm[slot] += mass[g];
       if (need_sum) {
-        for (size_t i = lo; i < hi; ++i) acc += vals[i];
+        nv[slot] += static_cast<__int128>(value_at(i)) * mass[g];
       }
-    } else if (need_sum) {
-      uint64_t cnt = 0;
-      fold->ForEachSetBitInRange(lo, hi, [&](size_t i) {
-        ++cnt;
-        acc += vals[i];
-      });
-      p.match = cnt;
+    };
+    if (fold != nullptr) {
+      fold->ForEachSetBit(visit);
     } else {
-      p.match = fold->CountRange(lo, hi);
+      for (size_t i = 0; i < perm_.size(); ++i) visit(i);
     }
-    p.value_sum = acc;
-    out->push_back(p);
+  };
+  if (!need_sum) {
+    for_each_match([](size_t) { return int64_t{0}; });
+  } else if (exact_values_[measure_qi]) {
+    // perm_values_ holds every value of this column exactly.
+    const double* vals = perm_values_[measure_qi].data();
+    for_each_match([vals](size_t i) { return static_cast<int64_t>(vals[i]); });
+  } else {
+    const AttributeDef& measure = tables_->qit().schema().attribute(measure_qi);
+    const Code* codes = tables_->qit().column(measure_qi).data();
+    const RowId* perm = perm_.data();
+    for_each_match(
+        [&](size_t i) { return IntegerValue(measure, codes[perm[i]]); });
   }
-  for (GroupId g : scratch.touched_groups) scratch.group_mass[g] = 0.0;
+  for (size_t k = 0; k < classes; ++k) {
+    GroupAggregatePartial p{class_size_[k], 0, 0};
+    for (size_t j = k * kLanes; j < (k + 1) * kLanes; ++j) {
+      p.mass_match += nm[j];
+      p.mass_value += nv[j];
+    }
+    if (p.mass_match != 0) out->push_back(p);
+  }
 }
 
 std::vector<uint64_t> AnatomyQueryEngine::GroupMatchCounts(
@@ -597,6 +668,44 @@ std::vector<uint64_t> AnatomyQueryEngine::GroupMatchCounts(
     ++counts[tables_->group_of_row(static_cast<RowId>(row))];
   });
   return counts;
+}
+
+std::vector<AnatomyQueryEngine::GroupAggregatePartial> ScanSizeClassPartials(
+    const AnatomizedTables& tables, const CountQuery& query, bool need_sum,
+    size_t measure_qi, const std::vector<bool>& include_group) {
+  const GroupId m = static_cast<GroupId>(tables.num_groups());
+  ANATOMY_CHECK(include_group.empty() || include_group.size() == m);
+  std::vector<uint64_t> mass(m, 0);
+  for (GroupId g = 0; g < m; ++g) {
+    if (!include_group.empty() && !include_group[g]) continue;
+    for (const auto& [value, count] : tables.group_histogram(g)) {
+      if (query.sensitive_predicate.Matches(value)) mass[g] += count;
+    }
+  }
+  const Table& qit = tables.qit();
+  const AttributeDef& measure =
+      qit.schema().attribute(need_sum ? measure_qi : 0);
+  std::map<uint32_t, AnatomyQueryEngine::GroupAggregatePartial> by_size;
+  for (RowId r = 0; r < tables.num_rows(); ++r) {
+    const GroupId g = tables.group_of_row(r);
+    if (mass[g] == 0) continue;
+    bool match = true;
+    for (const AttributePredicate& pred : query.qi_predicates) {
+      match = match && pred.Matches(qit.at(r, pred.qi_index()));
+    }
+    if (!match) continue;
+    AnatomyQueryEngine::GroupAggregatePartial& p =
+        by_size[tables.group_size(g)];
+    p.size = tables.group_size(g);
+    p.mass_match += mass[g];
+    if (need_sum) {
+      p.mass_value += static_cast<__int128>(mass[g]) *
+                      IntegerValue(measure, qit.at(r, measure_qi));
+    }
+  }
+  std::vector<AnatomyQueryEngine::GroupAggregatePartial> out;
+  for (const auto& [size, p] : by_size) out.push_back(p);
+  return out;
 }
 
 }  // namespace anatomy

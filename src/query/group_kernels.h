@@ -46,8 +46,10 @@
 
 namespace anatomy {
 
-/// The real value a code represents (numeric_base + code * numeric_step;
-/// for categorical attributes the code itself).
+/// The value a code represents (numeric_base + code * numeric_step; for
+/// categorical attributes the code itself).
+int64_t IntegerValue(const AttributeDef& attr, Code code);
+/// IntegerValue as a double.
 double NumericValue(const AttributeDef& attr, Code code);
 
 enum class KernelMode {
@@ -105,36 +107,35 @@ class AnatomyQueryEngine {
   std::vector<uint64_t> GroupMatchCounts(const CountQuery& query,
                                          EstimatorScratch& scratch) const;
 
-  /// One group's exact contribution to a COUNT/SUM estimate, in merge-ready
-  /// form: everything except value_sum is an exact integer, and value_sum is
-  /// the plain left-to-right sum of the measure values over the group's
-  /// matching rows in permuted (= published group-major) order. A
-  /// coordinator that concatenates nodes' partials in ascending group order
-  /// and folds them with one accumulator per aggregate reproduces the
-  /// single-node estimate bit-for-bit (src/dist/scatter_gather.h holds the
-  /// canonical fold).
+  /// The exact contribution of every group of one size s to a COUNT/SUM
+  /// estimate. The estimate is sum_g mass_g * match_g / |g|, and Anatomize
+  /// publishes at most l distinct group sizes, so it is a sum of exact
+  /// integers over at most l denominators. Partials merge by integer
+  /// addition per size, which is associative: any node count or merge order
+  /// gives the same totals (src/dist/scatter_gather.h holds the fold).
   struct GroupAggregatePartial {
-    GroupId group = 0;
-    /// |g| — published group size, the estimator's p_j denominator.
+    /// s = |g| of every group this partial covers.
     uint32_t size = 0;
-    /// S_j: qualifying sensitive mass of the group (exact).
-    uint64_t mass = 0;
-    /// Rows of the group matching the QI conjunction (exact).
-    uint64_t match = 0;
-    /// Sum of the measure column over those matching rows (0 when the
-    /// caller asked for COUNT only).
-    double value_sum = 0.0;
+    /// N_s = sum over groups of size s of mass_g * match_g, where mass_g is
+    /// the group's qualifying sensitive mass and match_g its rows matching
+    /// the QI conjunction. Both are at most s, so N_s <= s * n < 2^64.
+    uint64_t mass_match = 0;
+    /// V_s = sum over the same groups of mass_g * (sum of the measure over
+    /// g's matching rows); 0 for COUNT. Measure values are int64, so
+    /// |V_s| <= 2^63 * N_s < 2^127: no schema can overflow it.
+    __int128 mass_value = 0;
+
+    bool operator==(const GroupAggregatePartial&) const = default;
   };
 
-  /// Appends the partials of every group with qualifying sensitive mass, in
-  /// ascending group order, to *out (cleared first). Group-clustered mode
-  /// only. This is the scatter side of the distributed estimator; its
-  /// contributions use the same exact integers as EstimateCountSum, so the
-  /// canonical fold over them is checked against the fused kernels at 1e-9
-  /// relative in tests.
-  void CollectGroupPartials(const CountQuery& query, bool need_sum,
-                            size_t measure_qi, EstimatorScratch& scratch,
-                            std::vector<GroupAggregatePartial>* out) const;
+  /// Writes one partial per group size with N_s > 0, in ascending size, to
+  /// *out (cleared first). Group-clustered mode only. This is the scatter
+  /// side of the distributed estimator: one pass over the rows matching the
+  /// QI conjunction, with no sort and no per-group output. The partials are
+  /// exact integers, so no engine option can change them.
+  void CollectSizeClassPartials(const CountQuery& query, bool need_sum,
+                                size_t measure_qi, EstimatorScratch& scratch,
+                                std::vector<GroupAggregatePartial>* out) const;
 
   const EstimatorOptions& options() const { return options_; }
 
@@ -168,6 +169,10 @@ class AnatomyQueryEngine {
                             EstimatorScratch& scratch) const;
   /// Dense S_j into scratch.group_mass_u32 (every entry assigned).
   void ComputeDenseMass(const AttributePredicate& spred,
+                        EstimatorScratch& scratch) const;
+  /// S_j into scratch.group_mass_u32 (every entry assigned), by the dense
+  /// or the postings path, whichever costs less for this predicate.
+  void ComputeGroupMass(const AttributePredicate& spred,
                         EstimatorScratch& scratch) const;
   /// Deterministic cost call between the two mass paths.
   bool UseDenseMass(const AttributePredicate& spred) const;
@@ -214,14 +219,29 @@ class AnatomyQueryEngine {
   ArenaVector<uint8_t> bit_group_offset_;
   /// Precomputed 1 / |g| — removes the per-row division of the scalar path.
   ArenaVector<double> inv_group_size_;
+  /// class_size_ holds the distinct group sizes, ascending (at most l for
+  /// an Anatomize publication); size_class_[g] indexes group g's size in it.
+  std::vector<uint32_t> class_size_;
+  std::vector<uint32_t> size_class_;
   /// perm_values_[qi][i] = NumericValue of QI column qi at bit i.
   ArenaVector<ArenaVector<double>> perm_values_;
+  /// exact_values_[qi]: every value of column qi is an integer of magnitude
+  /// <= 2^53, so perm_values_[qi] holds it exactly.
+  std::vector<bool> exact_values_;
   /// prefix_mass_[v][g] = sum_{u<=v} c_g(u); empty when the sensitive
   /// domain x group count would exceed the memory gate.
   ArenaVector<ArenaVector<uint32_t>> prefix_mass_;
   /// Null when disabled (the options kill switch) or in scalar mode.
   std::unique_ptr<PredicateBitmapCache> cache_;
 };
+
+/// The row-scan oracle of AnatomyQueryEngine::CollectSizeClassPartials:
+/// the same N_s and V_s from the published tables alone (no index, no
+/// permutation), over the groups g with include_group[g] — every group when
+/// include_group is empty (otherwise it has one entry per group).
+std::vector<AnatomyQueryEngine::GroupAggregatePartial> ScanSizeClassPartials(
+    const AnatomizedTables& tables, const CountQuery& query, bool need_sum,
+    size_t measure_qi, const std::vector<bool>& include_group = {});
 
 }  // namespace anatomy
 

@@ -1,6 +1,7 @@
 #include "table/schema_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -39,16 +40,6 @@ std::vector<std::string> SplitLabels(const std::string& text) {
   }
   labels.push_back(current);
   return labels;
-}
-
-StatusOr<int64_t> ParseInt(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("bad " + what + " '" + text + "'");
-  }
-  return static_cast<int64_t>(v);
 }
 
 }  // namespace
@@ -104,12 +95,12 @@ StatusOr<SchemaPtr> ParseSchema(const std::string& text) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": empty attribute name");
     }
-    ANATOMY_ASSIGN_OR_RETURN(const int64_t domain,
-                             ParseInt(fields[2], "domain"));
-    if (domain <= 0 || domain > (int64_t{1} << 30)) {
-      return Status::OutOfRange("line " + std::to_string(line_no) +
-                                ": domain out of range");
-    }
+    const std::string where = "line " + std::to_string(line_no) + ": ";
+    constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+    ANATOMY_ASSIGN_OR_RETURN(
+        const int64_t domain,
+        ParseInt64InRange(fields[2], 1, int64_t{1} << 30, where + "domain"));
     const std::string kind = ToLower(fields[1]);
     if (kind == "numerical") {
       if (fields.size() != 5) {
@@ -117,11 +108,21 @@ StatusOr<SchemaPtr> ParseSchema(const std::string& text) {
             "line " + std::to_string(line_no) +
             ": numerical needs name|numerical|domain|base|step");
       }
-      ANATOMY_ASSIGN_OR_RETURN(const int64_t base, ParseInt(fields[3], "base"));
-      ANATOMY_ASSIGN_OR_RETURN(const int64_t step, ParseInt(fields[4], "step"));
+      ANATOMY_ASSIGN_OR_RETURN(
+          const int64_t base,
+          ParseInt64InRange(fields[3], kInt64Min, kInt64Max, where + "base"));
+      ANATOMY_ASSIGN_OR_RETURN(
+          const int64_t step,
+          ParseInt64InRange(fields[4], kInt64Min, kInt64Max, where + "step"));
       if (step == 0) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": step must be non-zero");
+        return Status::InvalidArgument(where + "step must be non-zero");
+      }
+      // Every value base + code * step must be an int64 (the estimators
+      // compute measure values exactly in that type).
+      const __int128 last = static_cast<__int128>(base) +
+                            static_cast<__int128>(domain - 1) * step;
+      if (last < kInt64Min || last > kInt64Max) {
+        return Status::OutOfRange(where + "values overflow a 64-bit integer");
       }
       defs.push_back(MakeNumerical(name, static_cast<Code>(domain), base, step));
     } else if (kind == "categorical") {

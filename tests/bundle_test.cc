@@ -60,6 +60,17 @@ TEST(SchemaIoTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseSchema("A|categorical|3|x,y").ok());    // label count
   EXPECT_FALSE(ParseSchema("|categorical|3").ok());         // empty name
   EXPECT_FALSE(ParseSchema("A|categorical|abc").ok());      // bad number
+  EXPECT_FALSE(ParseSchema("A|categorical|4x").ok());       // trailing garbage
+  EXPECT_FALSE(ParseSchema("A|categorical|-3").ok());       // negative domain
+  EXPECT_FALSE(ParseSchema("A|categorical|4294967300").ok());  // > 2^30
+  EXPECT_FALSE(ParseSchema("A|numerical|5|99999999999999999999|1").ok());
+  EXPECT_FALSE(ParseSchema("A|numerical|5|0|1x").ok());
+  // Values base + code * step must stay int64.
+  EXPECT_FALSE(ParseSchema("A|numerical|3|9223372036854775807|1").ok());
+  EXPECT_FALSE(
+      ParseSchema("A|numerical|3|0|-9223372036854775807").ok());
+  EXPECT_TRUE(ParseSchema("A|numerical|1|9223372036854775807|1").ok());
+  EXPECT_TRUE(ParseSchema("A|numerical|3|-1000|37").ok());
 }
 
 TEST(SchemaIoTest, IgnoresCommentsAndBlanks) {
@@ -86,6 +97,33 @@ TEST(ManifestTest, RoundTripAndValidation) {
   EXPECT_FALSE(ParseManifest("format_version=1\nl=0\n").ok());
   EXPECT_FALSE(ParseManifest("format_version=1\nl=ten\n").ok());
   EXPECT_FALSE(ParseManifest("format_version=1\nl=2\nbogus=1\n").ok());
+}
+
+TEST(ManifestTest, RejectsOverflowNegativeAndTrailingGarbage) {
+  const std::string v1 = "format_version=1\n";
+  // 2^32 + 2 used to narrow to l=2; 2^32 rows to 0 rows.
+  EXPECT_FALSE(ParseManifest(v1 + "l=4294967298\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=10\nrows=4294967296\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=10\ngroups=4294967296\n").ok());
+  EXPECT_FALSE(ParseManifest("format_version=4294967297\nl=10\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=99999999999999999999\n").ok());
+  // Negative values.
+  EXPECT_FALSE(ParseManifest(v1 + "l=-3\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=10\nrows=-1\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=10\ngroups=-1\n").ok());
+  EXPECT_FALSE(ParseManifest("format_version=-1\nl=10\n").ok());
+  // Trailing garbage.
+  EXPECT_FALSE(ParseManifest(v1 + "l=10x\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=10\nrows=12 34\n").ok());
+  EXPECT_FALSE(ParseManifest(v1 + "l=10\ngroups=7.5\n").ok());
+  EXPECT_FALSE(ParseManifest("format_version=1x\nl=10\n").ok());
+  // The largest values each field holds still load.
+  auto max = ParseManifest(v1 + "l=2147483647\nrows=4294967295\n"
+                                "groups=4294967295\n");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max.value().l, 2147483647);
+  EXPECT_EQ(max.value().rows, 4294967295u);
+  EXPECT_EQ(max.value().groups, 4294967295u);
 }
 
 // ----------------------------------------------------------------- bundle --

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -19,7 +21,6 @@
 #include "dist/node.h"
 #include "dist/scatter_gather.h"
 #include "query/aggregate.h"
-#include "query/estimator_scratch.h"
 #include "query/group_kernels.h"
 #include "storage/publication.h"
 #include "workload/workload.h"
@@ -27,15 +28,14 @@
 namespace anatomy {
 namespace {
 
-// Canonical-fold reference value for one query over the merged tables.
-double RefValue(const AnatomyQueryEngine& engine, const AggregateQuery& query,
-                EstimatorScratch& scratch) {
-  std::vector<AnatomyQueryEngine::GroupAggregatePartial> partials;
-  engine.CollectGroupPartials(query.predicates,
-                              query.kind == AggregateKind::kSum,
-                              query.measure_qi, scratch, &partials);
-  const CanonicalFoldResult fold = CanonicalFold(partials);
-  return query.kind == AggregateKind::kSum ? fold.sum : fold.count;
+// Reference value for one query: the size-class fold of a row scan over
+// the merged tables, restricted to `include_group` when it is non-empty.
+double RefValue(const AnatomizedTables& tables, const AggregateQuery& query,
+                const std::vector<bool>& include_group = {}) {
+  const bool need_sum = query.kind == AggregateKind::kSum;
+  const CanonicalFoldResult fold = CanonicalFold(ScanSizeClassPartials(
+      tables, query.predicates, need_sum, query.measure_qi, include_group));
+  return need_sum ? fold.sum : fold.count;
 }
 
 std::vector<PageId> SortedLivePages(DistNode* node) {
@@ -83,21 +83,19 @@ TEST(DistTest, ScatterGatherBitIdenticalToMergedFoldAcrossN) {
     auto tables_or = cluster.BuildMergedTables();
     ASSERT_TRUE(tables_or.ok()) << tables_or.status().ToString();
     const AnatomizedTables& tables = tables_or.value();
-    AnatomyQueryEngine ref(tables, EstimatorOptions{});
     AnatomyAggregateEstimator agg(tables, EstimatorOptions{});
-    EstimatorScratch scratch;
 
     ScatterGatherEstimator estimator(&cluster, DistQueryOptions{});
     MixedWorkloadGenerator gen = MakeGenerator(md, 5, 40);
     for (int i = 0; i < 40; ++i) {
       const AggregateQuery query = gen.Next();
-      const double want = RefValue(ref, query, scratch);
+      const double want = RefValue(tables, query);
       auto r = estimator.Estimate(query);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       const PartialEstimate& est = r.value();
       EXPECT_TRUE(est.exact);
       EXPECT_EQ(est.covered_mass, 1.0);
-      // Bit-identical to the canonical fold over the merged tables.
+      // Bit-identical to the size-class fold over the merged tables.
       EXPECT_EQ(est.value, want);
       EXPECT_EQ(est.lower, est.value);
       EXPECT_EQ(est.upper, est.value);
@@ -140,19 +138,18 @@ TEST(DistTest, PartialAnswerIsHonestWhenANodeIsDown) {
   auto tables_or = cluster.BuildMergedTables();
   ASSERT_TRUE(tables_or.ok());
   const AnatomizedTables& tables = tables_or.value();
-  AnatomyQueryEngine ref(tables, EstimatorOptions{});
-  EstimatorScratch scratch;
 
   // Node 1 goes dark (permanent: it serves nothing at all).
   cluster.node(1)->Deactivate();
 
   const GroupId node0_groups = cluster.record().nodes[0].group_count;
   const uint64_t node0_rows = cluster.record().nodes[0].rows;
+  std::vector<bool> node0_group(tables.num_groups(), false);
+  std::fill(node0_group.begin(), node0_group.begin() + node0_groups, true);
   ScatterGatherEstimator estimator(&cluster, DistQueryOptions{});
   MixedWorkloadGenerator gen = MakeGenerator(md, 29, 20);
   for (int i = 0; i < 20; ++i) {
     const AggregateQuery query = gen.Next();
-    const bool need_sum = query.kind == AggregateKind::kSum;
     auto r = estimator.Estimate(query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const PartialEstimate& est = r.value();
@@ -164,19 +161,10 @@ TEST(DistTest, PartialAnswerIsHonestWhenANodeIsDown) {
                                     static_cast<double>(cluster.total_rows()));
 
     // The value is the exact fold over precisely node 0's groups.
-    std::vector<AnatomyQueryEngine::GroupAggregatePartial> partials;
-    ref.CollectGroupPartials(query.predicates, need_sum, query.measure_qi,
-                             scratch, &partials);
-    std::vector<AnatomyQueryEngine::GroupAggregatePartial> covered;
-    for (const auto& p : partials) {
-      if (p.group < node0_groups) covered.push_back(p);
-    }
-    const CanonicalFoldResult pf = CanonicalFold(covered);
-    EXPECT_EQ(est.value, need_sum ? pf.sum : pf.count);
+    EXPECT_EQ(est.value, RefValue(tables, query, node0_group));
 
     // The declared bounds contain the true full-fleet answer.
-    const CanonicalFoldResult full = CanonicalFold(partials);
-    const double truth = need_sum ? full.sum : full.count;
+    const double truth = RefValue(tables, query);
     const double tol = 1e-9 * (1.0 + std::abs(truth));
     EXPECT_GE(truth, est.lower - tol);
     EXPECT_LE(truth, est.upper + tol);
@@ -223,8 +211,7 @@ TEST(DistTest, HedgesFireUnderStallsAndAnswersStayExact) {
 
   auto tables_or = cluster.BuildMergedTables();
   ASSERT_TRUE(tables_or.ok());
-  AnatomyQueryEngine ref(tables_or.value(), EstimatorOptions{});
-  EstimatorScratch scratch;
+  const AnatomizedTables& tables = tables_or.value();
 
   // Stalls are frequent and slow but always finish inside the deadline
   // (cap 3.5ms + base + jitter < 5ms), so every query still gets an exact
@@ -244,7 +231,7 @@ TEST(DistTest, HedgesFireUnderStallsAndAnswersStayExact) {
   uint64_t hedges = 0;
   for (int i = 0; i < 60; ++i) {
     const AggregateQuery query = gen.Next();
-    const double want = RefValue(ref, query, scratch);
+    const double want = RefValue(tables, query);
     auto r = estimator.Estimate(query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.value().exact);
@@ -265,8 +252,7 @@ TEST(DistTest, TransientFaultsAreRetriedAway) {
 
   auto tables_or = cluster.BuildMergedTables();
   ASSERT_TRUE(tables_or.ok());
-  AnatomyQueryEngine ref(tables_or.value(), EstimatorOptions{});
-  EstimatorScratch scratch;
+  const AnatomizedTables& tables = tables_or.value();
 
   for (size_t i = 0; i < cluster.num_nodes(); ++i) {
     FaultSpec spec;
@@ -281,7 +267,7 @@ TEST(DistTest, TransientFaultsAreRetriedAway) {
   size_t exact = 0;
   for (int i = 0; i < 40; ++i) {
     const AggregateQuery query = gen.Next();
-    const double want = RefValue(ref, query, scratch);
+    const double want = RefValue(tables, query);
     auto r = estimator.Estimate(query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     retries += r.value().retries;
@@ -296,6 +282,79 @@ TEST(DistTest, TransientFaultsAreRetriedAway) {
   }
   EXPECT_GT(retries, 0u);
   EXPECT_GT(exact, 0u);
+}
+
+// ---------------------------------- sequential ladder, concurrent compute
+
+std::unique_ptr<DistCluster> PublishedCluster(const Microdata& md,
+                                              bool faults) {
+  DistClusterOptions copts;
+  copts.nodes = 4;
+  copts.l = 4;
+  copts.seed = 131;
+  auto cluster = std::make_unique<DistCluster>(copts);
+  EXPECT_TRUE(cluster->PublishEpoch(md).ok());
+  for (size_t i = 0; faults && i < cluster->num_nodes(); ++i) {
+    // Stalls that make hedges fire but end inside the deadline, and
+    // transients that cost retries and now and then a whole node.
+    FaultSpec spec;
+    spec.seed = 300 + i;
+    spec.stall_rate = 0.4;
+    spec.stall_scale_us = 1200.0;
+    spec.stall_alpha = 1.3;
+    spec.stall_cap_us = 3'500.0;
+    spec.read_transient_rate = 0.2;
+    cluster->node(i)->fault_disk()->ReArm(spec);
+  }
+  return cluster;
+}
+
+TEST(DistTest, ConcurrentComputeMatchesSequentialServeAndReplays) {
+  const Microdata md = MakeChaosMicrodata(2400, 4, 127);
+  // a and b are identical, faults included; c serves the sequential
+  // reference without faults.
+  std::unique_ptr<DistCluster> a = PublishedCluster(md, /*faults=*/true);
+  std::unique_ptr<DistCluster> b = PublishedCluster(md, /*faults=*/true);
+  std::unique_ptr<DistCluster> c = PublishedCluster(md, /*faults=*/false);
+  ScatterGatherEstimator ea(a.get(), DistQueryOptions{});
+  ScatterGatherEstimator eb(b.get(), DistQueryOptions{});
+  Rng rng(139);
+  MixedWorkloadGenerator gen = MakeGenerator(md, 137, 50);
+  uint64_t hedges = 0;
+  uint64_t retries = 0;
+  for (int q = 0; q < 50; ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const AggregateQuery query = gen.Next();
+    const bool need_sum = query.kind == AggregateKind::kSum;
+    auto ra = ea.Estimate(query);
+    auto rb = eb.Estimate(query);
+    ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+    ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+    const PartialEstimate& x = ra.value();
+    const PartialEstimate& y = rb.value();
+    EXPECT_EQ(x.value, y.value);
+    EXPECT_EQ(x.reasons, y.reasons);
+    EXPECT_EQ(x.virtual_ns, y.virtual_ns);
+    EXPECT_EQ(x.hedges, y.hedges);
+    EXPECT_EQ(x.retries, y.retries);
+    hedges += x.hedges;
+    retries += x.retries;
+
+    // The fold over one sequential Serve per responding node.
+    std::vector<AnatomyQueryEngine::GroupAggregatePartial> partials;
+    for (size_t i = 0; i < c->num_nodes(); ++i) {
+      if (x.reasons[i] != obs::ReasonCode::kOk) continue;
+      DistNode::ServeResult r =
+          c->node(i)->Serve(query.predicates, need_sum, query.measure_qi,
+                            std::numeric_limits<uint64_t>::max(), rng);
+      ASSERT_TRUE(r.answered());
+      partials.insert(partials.end(), r.partials.begin(), r.partials.end());
+    }
+    const CanonicalFoldResult fold = CanonicalFold(partials);
+    EXPECT_EQ(x.value, need_sum ? fold.sum : fold.count);
+  }
+  EXPECT_GT(hedges, 0u);
+  EXPECT_GT(retries, 0u);
 }
 
 // ------------------------------------------------------ two-phase swaps
@@ -342,8 +401,6 @@ TEST(DistTest, EverySwapKillPointRecoversToOneConsistentEpoch) {
     // And the recovered fleet serves exact answers for its epoch.
     auto tables_or = cluster.BuildMergedTables();
     ASSERT_TRUE(tables_or.ok()) << tables_or.status().ToString();
-    AnatomyQueryEngine ref(tables_or.value(), EstimatorOptions{});
-    EstimatorScratch scratch;
     ScatterGatherEstimator estimator(&cluster, DistQueryOptions{});
     MixedWorkloadGenerator gen = MakeGenerator(md1, 83, 10);
     for (int i = 0; i < 10; ++i) {
@@ -351,7 +408,7 @@ TEST(DistTest, EverySwapKillPointRecoversToOneConsistentEpoch) {
       auto r = estimator.Estimate(query);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_TRUE(r.value().exact);
-      EXPECT_EQ(r.value().value, RefValue(ref, query, scratch));
+      EXPECT_EQ(r.value().value, RefValue(tables_or.value(), query));
     }
   }
 }

@@ -72,6 +72,38 @@ TEST(ThreadPoolTest, EmptyRangeAndFewerItemsThanThreads) {
   EXPECT_EQ(covered.load(), 3u);
 }
 
+TEST(ThreadPoolTest, RunPendingThenWaitRunsUnstartedTasksOnCaller) {
+  // The only worker blocks until the queued tasks have run, which only the
+  // calling thread can do; then the call waits for the blocked task too.
+  constexpr int kQueued = 5;
+  ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<int> ran{0};
+  std::atomic<bool> blocker_done{false};
+  pool.Submit([&] {
+    started.store(true);
+    while (ran.load() < kQueued) std::this_thread::yield();
+    blocker_done.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::vector<std::thread::id> ran_on(kQueued);
+  for (int i = 0; i < kQueued; ++i) {
+    pool.Submit([&, i] {
+      ran_on[i] = std::this_thread::get_id();
+      ran.fetch_add(1);
+    });
+  }
+  pool.RunPendingThenWait();
+  EXPECT_TRUE(blocker_done.load());
+  for (int i = 0; i < kQueued; ++i) {
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << i;
+  }
+  // The pool stays usable afterwards.
+  pool.Submit([&] { ran.fetch_add(1); });
+  pool.Wait();
+  EXPECT_EQ(ran.load(), kQueued + 1);
+}
+
 // ------------------------------------------------------------ Rng streams --
 
 TEST(RngStreamTest, StreamsAreReproducibleAndDistinct) {

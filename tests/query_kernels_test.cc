@@ -12,19 +12,24 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "anatomy/anatomized_tables.h"
 #include "anatomy/anatomizer.h"
 #include "common/arena.h"
+#include "common/rng.h"
 #include "data/census_generator.h"
 #include "data/dataset.h"
+#include "dist/scatter_gather.h"
 #include "obs/metrics.h"
 #include "query/aggregate.h"
 #include "query/anatomy_estimator.h"
 #include "query/bitmap.h"
 #include "query/pred_cache.h"
 #include "query/simd.h"
+#include "table/schema.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -370,6 +375,146 @@ TEST(BatchedEvaluationTest, CountBatchMatchesAnatomyEstimator) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(batched[i], estimator.Estimate(queries[i], scratch))
         << "query " << i;
+  }
+}
+
+// ----------------------------------------------- Size-class partials --
+
+// Anatomized microdata whose QI attributes include a numerical measure with
+// a negative numeric_base, so SUM partials carry negative and positive
+// values, and one whose values exceed 2^53 in magnitude, so the engine
+// cannot read them from its double copy of the column.
+struct SignedMeasurePublication {
+  Microdata md;
+  AnatomizedTables tables;
+};
+
+SignedMeasurePublication MakeSignedMeasurePublication(RowId n, int l,
+                                                      uint64_t seed) {
+  const Code s_domain = static_cast<Code>(3 * l);
+  std::vector<AttributeDef> defs;
+  defs.push_back(MakeNumerical("Age", 60, /*base=*/17));
+  defs.push_back(MakeNumerical("Balance", 64, /*base=*/-1000, /*step=*/37));
+  defs.push_back(MakeCategorical("Region", 12));
+  defs.push_back(MakeNumerical("Huge", 16, /*base=*/-(int64_t{1} << 62),
+                               /*step=*/int64_t{1} << 58));
+  defs.push_back(MakeCategorical("Disease", s_domain));
+  Microdata md;
+  md.table = Table(std::make_shared<Schema>(std::move(defs)));
+  Rng rng(seed);
+  for (RowId i = 0; i < n; ++i) {
+    const Code row[5] = {static_cast<Code>(rng.NextBounded(60)),
+                         static_cast<Code>(rng.NextBounded(64)),
+                         static_cast<Code>(rng.NextBounded(12)),
+                         static_cast<Code>(rng.NextBounded(16)),
+                         static_cast<Code>(i % s_domain)};
+    md.table.AppendRow(row);
+  }
+  md.qi_columns = {0, 1, 2, 3};
+  md.sensitive_column = 4;
+  Anatomizer anatomizer(AnatomizerOptions{.l = l, .seed = seed + 1});
+  auto partition = anatomizer.ComputePartition(md);
+  ANATOMY_CHECK_OK(partition.status());
+  auto tables = AnatomizedTables::Build(md, partition.value());
+  ANATOMY_CHECK_OK(tables.status());
+  return SignedMeasurePublication{std::move(md), std::move(tables).value()};
+}
+
+double FoldValue(std::span<const AnatomyQueryEngine::GroupAggregatePartial> p,
+                 bool need_sum) {
+  const CanonicalFoldResult fold = CanonicalFold(p);
+  return need_sum ? fold.sum : fold.count;
+}
+
+TEST(SizeClassPartialsTest, EngineEqualsRowScanOracleAndFoldIsOrderFree) {
+  EstimatorOptions scalar;
+  scalar.mode = KernelMode::kScalar;
+  for (int l : {3, 7}) {
+    const SignedMeasurePublication pub =
+        MakeSignedMeasurePublication(2000, l, 70 + l);
+    const AnatomizedTables& tables = pub.tables;
+    const GroupId m = static_cast<GroupId>(tables.num_groups());
+    const AnatomyQueryEngine engine(tables, EstimatorOptions{});
+    const AnatomyAggregateEstimator scalar_est(tables, scalar);
+    EstimatorScratch scratch;
+    std::vector<AnatomyQueryEngine::GroupAggregatePartial> got;
+    Rng shuffle_rng(l);
+
+    // Sensitive predicates shaped so both mass paths run (postings for one
+    // value, prefix histograms for half the domain as one run), plus all
+    // values but two. Each with and without a QI predicate; zero-QI queries
+    // walk every row.
+    const Code domain = static_cast<Code>(3 * l);
+    std::vector<Code> all_but_two;
+    for (Code v = 0; v < domain; ++v) {
+      if (v != 1 && v != 4) all_but_two.push_back(v);
+    }
+    std::vector<CountQuery> queries;
+    for (const AttributePredicate& sensitive :
+         {AttributePredicate(0, {1}), AttributePredicate(0, all_but_two),
+          RangePredicate(0, 0, domain / 2 - 1)}) {
+      CountQuery q;
+      q.sensitive_predicate = sensitive;
+      queries.push_back(q);
+      q.qi_predicates.push_back(RangePredicate(1, 10, 40));
+      queries.push_back(q);
+    }
+    for (int qd : {1, 3}) {
+      for (bool ranges : {false, true}) {
+        for (double sel : {0.02, 0.3}) {
+          const std::vector<CountQuery> grid =
+              GridQueries(pub.md, qd, sel, /*count=*/4,
+                          static_cast<uint64_t>(100 * l + 10 * qd + ranges),
+                          ranges);
+          queries.insert(queries.end(), grid.begin(), grid.end());
+        }
+      }
+    }
+
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      for (size_t measure : {0u, 1u, 2u, 3u}) {
+        for (bool need_sum : {false, true}) {
+          SCOPED_TRACE("l=" + std::to_string(l) + " query=" +
+                       std::to_string(qi) + " measure=" +
+                       std::to_string(measure) + " sum=" +
+                       std::to_string(need_sum));
+          const CountQuery& q = queries[qi];
+          const auto want = ScanSizeClassPartials(tables, q, need_sum, measure);
+          engine.CollectSizeClassPartials(q, need_sum, measure, scratch, &got);
+          EXPECT_TRUE(got == want);
+          EXPECT_LE(got.size(), static_cast<size_t>(l));
+
+          // The oracle itself agrees with the scalar reference estimator.
+          AggregateQuery aq;
+          aq.predicates = q;
+          aq.kind = need_sum ? AggregateKind::kSum : AggregateKind::kCount;
+          aq.measure_qi = measure;
+          const double value = FoldValue(want, need_sum);
+          EXPECT_TRUE(WithinRel(value, scalar_est.Estimate(aq)));
+
+          // Shuffled, or split into k group ranges like a k-node fleet: the
+          // fold gives the same bits.
+          std::vector<AnatomyQueryEngine::GroupAggregatePartial> shuffled =
+              want;
+          for (size_t i = shuffled.size(); i > 1; --i) {
+            std::swap(shuffled[i - 1], shuffled[shuffle_rng.NextBounded(i)]);
+          }
+          EXPECT_EQ(FoldValue(shuffled, need_sum), value);
+          for (GroupId k : {1u, 2u, 4u, 8u}) {
+            std::vector<AnatomyQueryEngine::GroupAggregatePartial> chunks;
+            for (GroupId c = 0; c < k; ++c) {
+              std::vector<bool> include(m, false);
+              std::fill(include.begin() + c * m / k,
+                        include.begin() + (c + 1) * m / k, true);
+              const auto part =
+                  ScanSizeClassPartials(tables, q, need_sum, measure, include);
+              chunks.insert(chunks.end(), part.begin(), part.end());
+            }
+            EXPECT_EQ(FoldValue(chunks, need_sum), value) << "chunks=" << k;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Serving-layer tests: tenant access enforcement with denial reasons
 // asserted BY VALUE (the flight-recorder ReasonCode vocabulary, never
 // message substrings), epoch-swap bit-identity (every answer matches the
-// canonical fold over ITS epoch's merged tables, before, during recovery
+// size-class fold over ITS epoch's merged tables, before, during recovery
 // from, and after a swap), traffic-schedule determinism, and the serve
 // loop's swap-under-load accounting.
 
@@ -17,7 +17,6 @@
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "query/aggregate.h"
-#include "query/estimator_scratch.h"
 #include "query/group_kernels.h"
 #include "serve/catalog.h"
 #include "serve/server.h"
@@ -69,16 +68,13 @@ MixedWorkloadGenerator MakeQueries(const Microdata& md, uint64_t seed) {
   return std::move(generator).value();
 }
 
-// Canonical-fold reference answer over one epoch's merged tables — the
-// value the scatter-gather path promises to reproduce bit-for-bit.
-double RefValue(const AnatomyQueryEngine& engine, const AggregateQuery& query,
-                EstimatorScratch& scratch) {
-  std::vector<AnatomyQueryEngine::GroupAggregatePartial> partials;
-  engine.CollectGroupPartials(query.predicates,
-                              query.kind == AggregateKind::kSum,
-                              query.measure_qi, scratch, &partials);
-  const CanonicalFoldResult fold = CanonicalFold(partials);
-  return query.kind == AggregateKind::kSum ? fold.sum : fold.count;
+// Size-class fold of a row scan over one epoch's merged tables — the value
+// the scatter-gather path promises to reproduce bit-for-bit.
+double RefValue(const AnatomizedTables& tables, const AggregateQuery& query) {
+  const bool need_sum = query.kind == AggregateKind::kSum;
+  const CanonicalFoldResult fold = CanonicalFold(ScanSizeClassPartials(
+      tables, query.predicates, need_sum, query.measure_qi));
+  return need_sum ? fold.sum : fold.count;
 }
 
 // ---------------------------------------------------- access enforcement --
@@ -226,18 +222,16 @@ TEST(ServeBitIdentityTest, AnswersMatchEachEpochsCanonicalFold) {
   std::vector<AggregateQuery> queries;
   for (int i = 0; i < 24; ++i) queries.push_back(gen.Next());
 
-  EstimatorScratch scratch;
   const auto check_epoch = [&](const char* when) {
     auto tables = pub->cluster()->BuildMergedTables();
     ASSERT_TRUE(tables.ok()) << tables.status().ToString();
-    AnatomyQueryEngine ref(tables.value(), EstimatorOptions{});
     for (const AggregateQuery& query : queries) {
       auto answer = session.Query("occ", query);
       ASSERT_TRUE(answer.ok()) << when << ": " << answer.status().ToString();
       EXPECT_TRUE(answer.value().exact) << when;
-      // Bit-identical, not approximately equal: the serving path must fold
-      // per-node partials exactly as the single-node engine does.
-      EXPECT_EQ(answer.value().value, RefValue(ref, query, scratch)) << when;
+      // Bit-identical, not approximately equal: per-node partials are exact
+      // integers, so distribution cannot change the fold.
+      EXPECT_EQ(answer.value().value, RefValue(tables.value(), query)) << when;
     }
   };
 

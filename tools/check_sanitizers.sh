@@ -79,9 +79,10 @@ if [[ $# -ge 1 ]]; then
       # (hedges, retries, honest partials) and every swap kill point, and
       # chaos_test's fault × kill × seed sweep exercises the recovery and
       # orphan-sweep error paths — all of which must run clean under
-      # ASan+UBSan, with the shard-parallel publish inside each scenario
-      # giving TSan real concurrency to check.
-      extra=(-R '^(dist_test|chaos_test)$')
+      # ASan+UBSan. The shard-parallel publish inside each scenario and the
+      # estimator's concurrent node computes (also driven end to end by
+      # bench_serve_smoke's open-loop traffic) give TSan real concurrency.
+      extra=(-R '^(dist_test|chaos_test|bench_serve_smoke)$')
       shift
       ;;
     slo)
