@@ -14,12 +14,15 @@
 // still printed and written to JSON, with a loud skip warning, because no
 // scheduler can conjure parallel speedup out of missing cores.
 //
+// A child process (a fresh heap, so its peak RSS is the build's own) counts
+// the operator-new calls inside one S = 4 ShardedAnatomizer::Run and exits
+// nonzero above kMaxAllocsPerRow.
+//
 // Results go to --json_out (default BENCH_sharded_anatomize.json).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <unistd.h>
 #include <string>
@@ -31,7 +34,6 @@
 #include "anatomy/rce.h"
 #include "anatomy/sharded_anatomizer.h"
 #include "bench_util.h"
-#include "common/arena.h"
 #include "common/flags.h"
 #include "common/printer.h"
 #include "data/census_generator.h"
@@ -51,31 +53,31 @@ struct ShardedBenchConfig {
   /// Minimum S = 8 speedup enforced when the host has >= 8 hardware threads.
   double min_speedup = 3.0;
   std::string json_out = "BENCH_sharded_anatomize.json";
-  /// Hidden child-process mode: "heap" or "arena". VmHWM is monotone per
-  /// process, so the heap-vs-arena footprint comparison runs each
-  /// configuration in its own child (spawned below via /proc/self/exe) that
-  /// does one S = 4 build and prints a single MEM_PROBE line.
-  std::string mem_probe;
+  /// Hidden child-process mode. VmHWM is monotone per process, so the
+  /// footprint of one build is measured in a child (spawned below via
+  /// /proc/self/exe) that does one S = 4 build and prints one ALLOC_PROBE
+  /// line.
+  bool alloc_probe = false;
 };
 
-/// One configuration's memory footprint, as measured inside its own child.
-struct MemProbeResult {
+/// Heap allocations per row allowed inside one S = 4 ShardedAnatomizer::Run.
+/// The build measures 0.10 per row at n = 1M and 0.14 at n = 60k: one vector
+/// per group (l = 10), handed from each shard's partition to the merged one,
+/// plus the bucket vectors' growth. One more allocation per group would add
+/// 0.1 and trip the gate.
+constexpr double kMaxAllocsPerRow = 0.18;
+
+/// One S = 4 build's footprint, as measured inside its own child.
+struct AllocProbeResult {
   uint64_t peak_rss_bytes = 0;
-  uint64_t mallocs = 0;
+  uint64_t run_mallocs = 0;  // operator-new calls inside Run
   int malloc_hook = 0;
-  uint64_t arena_allocs = 0;
   bool ok = false;
 };
 
-/// Child-process body for --mem_probe: one representative sharded build
-/// (S = 4) with the arena on or off, then a parsable one-line report.
-int RunMemProbe(const ShardedBenchConfig& config) {
-  if (config.mem_probe == "heap") {
-    arena::SetEnabled(false);
-  } else if (config.mem_probe != "arena") {
-    std::fprintf(stderr, "fatal: --mem_probe must be 'heap' or 'arena'\n");
-    return 2;
-  }
+/// Child-process body for --alloc_probe: one representative sharded build
+/// (S = 4), then a parsable one-line report.
+int RunAllocProbe(const ShardedBenchConfig& config) {
   const Table census = GenerateCensus(static_cast<RowId>(config.n),
                                       static_cast<uint64_t>(config.seed));
   ExperimentDataset dataset = ValueOrDie(
@@ -88,59 +90,47 @@ int RunMemProbe(const ShardedBenchConfig& config) {
       .seed = static_cast<uint64_t>(config.seed),
       .shards = 4,
       .num_threads = 1});
+  const uint64_t mallocs_before = MallocCount();
   ShardedAnatomizeResult result = ValueOrDie(anatomizer.Run(dataset.microdata));
+  const uint64_t run_mallocs = MallocCount() - mallocs_before;
   AnatomizedTables tables =
       ValueOrDie(AnatomizedTables::Build(dataset.microdata, result.partition));
   if (tables.qit().num_rows() != dataset.microdata.n()) return 2;  // keep alive
-  const arena::ArenaStats astats =
-      arena::CompiledIn() ? arena::Arena::Global().Stats() : arena::ArenaStats{};
-  std::printf("MEM_PROBE mode=%s rss=%llu mallocs=%llu malloc_hook=%d "
-              "arena_allocs=%llu committed_bytes=%llu highwater=%llu\n",
-              config.mem_probe.c_str(),
+  std::printf("ALLOC_PROBE rss=%llu run_mallocs=%llu malloc_hook=%d\n",
               static_cast<unsigned long long>(PeakRssBytes()),
-              static_cast<unsigned long long>(MallocCount()),
-              MallocCountAvailable() ? 1 : 0,
-              static_cast<unsigned long long>(astats.allocs),
-              static_cast<unsigned long long>(astats.pages_committed *
-                                              arena::Arena::kPageBytes),
-              static_cast<unsigned long long>(astats.bytes_highwater));
+              static_cast<unsigned long long>(run_mallocs),
+              MallocCountAvailable() ? 1 : 0);
   return 0;
 }
 
-/// Spawns this binary again with --mem_probe=<mode> and this run's n/l/seed
-/// and parses the child's MEM_PROBE line. The path is resolved via
+/// Spawns this binary again with --alloc_probe and this run's n/l/seed and
+/// parses the child's ALLOC_PROBE line. The path is resolved via
 /// readlink(/proc/self/exe) in the parent — embedding the literal
 /// /proc/self/exe in the popen command would make the shell re-exec itself.
-MemProbeResult SpawnMemProbe(const ShardedBenchConfig& config,
-                             const char* mode) {
+AllocProbeResult SpawnAllocProbe(const ShardedBenchConfig& config) {
   char self[256];
   const ssize_t len = readlink("/proc/self/exe", self, sizeof self - 1);
-  if (len <= 0) return MemProbeResult{};
+  if (len <= 0) return AllocProbeResult{};
   self[len] = '\0';
   char cmd[512];
   std::snprintf(cmd, sizeof cmd,
-                "'%s' --mem_probe=%s --n %lld --l %lld --seed %lld "
+                "'%s' --alloc_probe --n %lld --l %lld --seed %lld "
                 "--json_out \"\"",
-                self, mode, static_cast<long long>(config.n),
+                self, static_cast<long long>(config.n),
                 static_cast<long long>(config.l),
                 static_cast<long long>(config.seed));
-  MemProbeResult r;
+  AllocProbeResult r;
   FILE* pipe = popen(cmd, "r");
   if (pipe == nullptr) return r;
   char line[512];
   while (std::fgets(line, sizeof line, pipe) != nullptr) {
-    unsigned long long rss = 0, mallocs = 0, arena_allocs = 0;
+    unsigned long long rss = 0, mallocs = 0;
     int hook = 0;
-    char got_mode[16];
-    if (std::sscanf(line,
-                    "MEM_PROBE mode=%15s rss=%llu mallocs=%llu "
-                    "malloc_hook=%d arena_allocs=%llu",
-                    got_mode, &rss, &mallocs, &hook, &arena_allocs) == 5 &&
-        std::strcmp(got_mode, mode) == 0) {
+    if (std::sscanf(line, "ALLOC_PROBE rss=%llu run_mallocs=%llu malloc_hook=%d",
+                    &rss, &mallocs, &hook) == 3) {
       r.peak_rss_bytes = rss;
-      r.mallocs = mallocs;
+      r.run_mallocs = mallocs;
       r.malloc_hook = hook;
-      r.arena_allocs = arena_allocs;
       r.ok = true;
     }
   }
@@ -305,51 +295,33 @@ void Run(const ShardedBenchConfig& config) {
         cores, config.min_speedup, s8.speedup);
   }
 
-  // ---- Heap-vs-arena footprint: one child process per configuration
-  // (VmHWM is monotone, so in-process before/after would be meaningless). ----
-  MemProbeResult heap_probe;
-  MemProbeResult arena_probe;
-  if (arena::CompiledIn()) {
-    std::printf("\nmemory probes (child processes, one single-threaded S=4 build each):\n");
-    heap_probe = SpawnMemProbe(config, "heap");
-    arena_probe = SpawnMemProbe(config, "arena");
-    if (!heap_probe.ok || !arena_probe.ok) {
+  // ---- Allocation gate: one child process (VmHWM is monotone, so an
+  // in-process before/after would be meaningless for the footprint). ----
+  std::printf("\nallocation probe (child process, one single-threaded S=4 build):\n");
+  const AllocProbeResult probe = SpawnAllocProbe(config);
+  if (!probe.ok) {
+    std::fprintf(stderr, "FATAL: allocation probe child failed\n");
+    std::exit(1);
+  }
+  const double allocs_per_row =
+      static_cast<double>(probe.run_mallocs) / static_cast<double>(n);
+  std::printf("  peak RSS %.1f MiB\n",
+              static_cast<double>(probe.peak_rss_bytes) / (1 << 20));
+  if (probe.malloc_hook != 0) {
+    std::printf("  %llu heap allocations inside Run (%.3f per row, <= %.3f "
+                "allowed)\n",
+                static_cast<unsigned long long>(probe.run_mallocs),
+                allocs_per_row, kMaxAllocsPerRow);
+    if (allocs_per_row > kMaxAllocsPerRow) {
       std::fprintf(stderr,
-                   "warning: memory probe child failed; footprint comparison "
-                   "skipped\n");
-    } else {
-      std::printf("  heap-only: peak RSS %.1f MiB, %llu heap allocations\n",
-                  static_cast<double>(heap_probe.peak_rss_bytes) / (1 << 20),
-                  static_cast<unsigned long long>(heap_probe.mallocs));
-      std::printf(
-          "  arena:     peak RSS %.1f MiB, %llu heap allocations "
-          "(%llu served by the arena)\n",
-          static_cast<double>(arena_probe.peak_rss_bytes) / (1 << 20),
-          static_cast<unsigned long long>(arena_probe.mallocs),
-          static_cast<unsigned long long>(arena_probe.arena_allocs));
-      if (heap_probe.malloc_hook != 0 && arena_probe.malloc_hook != 0) {
-        if (arena_probe.mallocs >= heap_probe.mallocs) {
-          std::fprintf(stderr,
-                       "FATAL: arena build took %llu heap allocations vs "
-                       "%llu heap-only — the hot structures are not on the "
-                       "arena\n",
-                       static_cast<unsigned long long>(arena_probe.mallocs),
-                       static_cast<unsigned long long>(heap_probe.mallocs));
-          std::exit(1);
-        }
-        std::printf(
-            "  heap allocations reduced %.1fx; peak RSS %+.1f%%\n",
-            static_cast<double>(heap_probe.mallocs) /
-                static_cast<double>(arena_probe.mallocs),
-            (static_cast<double>(arena_probe.peak_rss_bytes) /
-                 static_cast<double>(heap_probe.peak_rss_bytes) -
-             1.0) * 100.0);
-      } else {
-        std::printf(
-            "  (allocation-count hook unavailable in this build; counts "
-            "above read 0)\n");
-      }
+                   "FATAL: ShardedAnatomizer::Run took %.3f heap allocations "
+                   "per row, above the %.3f bound\n",
+                   allocs_per_row, kMaxAllocsPerRow);
+      std::exit(1);
     }
+  } else {
+    std::printf("  (allocation-count hook unavailable in this build; the "
+                "per-row gate is skipped)\n");
   }
 
   if (!config.json_out.empty()) {
@@ -398,24 +370,16 @@ void Run(const ShardedBenchConfig& config) {
       os << buf;
     }
     os << "  ],\n";
-    if (heap_probe.ok && arena_probe.ok) {
-      std::snprintf(
-          buf, sizeof buf,
-          "  \"mem_probe\": {\n"
-          "    \"heap\": {\"peak_rss_bytes\": %llu, \"mallocs\": %llu},\n"
-          "    \"arena\": {\"peak_rss_bytes\": %llu, \"mallocs\": %llu, "
-          "\"arena_allocs\": %llu},\n"
-          "    \"malloc_hook_available\": %s\n  },\n",
-          static_cast<unsigned long long>(heap_probe.peak_rss_bytes),
-          static_cast<unsigned long long>(heap_probe.mallocs),
-          static_cast<unsigned long long>(arena_probe.peak_rss_bytes),
-          static_cast<unsigned long long>(arena_probe.mallocs),
-          static_cast<unsigned long long>(arena_probe.arena_allocs),
-          heap_probe.malloc_hook != 0 && arena_probe.malloc_hook != 0
-              ? "true"
-              : "false");
-      os << buf;
-    }
+    std::snprintf(
+        buf, sizeof buf,
+        "  \"alloc_probe\": {\"peak_rss_bytes\": %llu, \"run_mallocs\": %llu, "
+        "\"mallocs_per_row\": %s, \"max_mallocs_per_row\": %.3f},\n",
+        static_cast<unsigned long long>(probe.peak_rss_bytes),
+        static_cast<unsigned long long>(probe.run_mallocs),
+        probe.malloc_hook != 0 ? FormatDouble(allocs_per_row, 4).c_str()
+                               : "null",
+        kMaxAllocsPerRow);
+    os << buf;
     os << "  \"memory\": " << MemoryJson(2) << "\n}\n";
     std::printf("(results written to %s)\n", config.json_out.c_str());
   }
@@ -438,10 +402,10 @@ int main(int argc, char** argv) {
                    "required S=8 speedup on hosts with >= 8 threads");
   parser.AddString("json_out", &config.json_out,
                    "results JSON path (empty disables)");
-  parser.AddString("mem_probe", &config.mem_probe,
-                   "internal: child-process footprint probe (heap|arena)");
+  parser.AddBool("alloc_probe", &config.alloc_probe,
+                 "internal: child-process allocation probe");
   DieIfError(parser.Parse(argc, argv));
-  if (!config.mem_probe.empty()) return RunMemProbe(config);
+  if (config.alloc_probe) return RunAllocProbe(config);
   Run(config);
   return 0;
 }

@@ -150,7 +150,7 @@ unsigned WarnIfSingleThreaded(const char* bench_name);
 /// Peak resident set of this process in bytes (VmHWM from
 /// /proc/self/status); 0 when the file is unavailable. Monotone over the
 /// process lifetime — to compare two configurations, run each in its own
-/// child process (see bench_sharded_anatomize's --mem_probe).
+/// child process (see bench_sharded_anatomize's --alloc_probe).
 uint64_t PeakRssBytes();
 
 /// Heap allocations observed by the bench-only global operator new hook

@@ -1,6 +1,7 @@
 #include "anatomy/anatomized_tables.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
@@ -138,6 +139,28 @@ size_t AnatomizedTables::TotalStRecords() const {
   size_t total = 0;
   for (const auto& hist : group_histograms_) total += hist.size();
   return total;
+}
+
+Status AppendPublishedFile(Disk* disk, const PublishedFileMeta& meta,
+                           const RetryPolicy& retry, size_t gid_field,
+                           GroupId gid_offset, Table& table) {
+  ANATOMY_CHECK(gid_field < table.num_columns());
+  if (meta.fields != table.num_columns()) {
+    return Status::FailedPrecondition(
+        "published file has " + std::to_string(meta.fields) +
+        " fields, the table " + std::to_string(table.num_columns()));
+  }
+  PublishedRecordReader reader(disk, meta, retry);
+  // The reader has checked that the count fits the file's pages.
+  ANATOMY_RETURN_IF_ERROR(reader.status());
+  table.Reserve(table.num_rows() + static_cast<RowId>(meta.records));
+  std::vector<Code> row(meta.fields);
+  while (reader.Next()) {
+    std::copy(reader.record().begin(), reader.record().end(), row.begin());
+    row[gid_field] += static_cast<Code>(gid_offset);
+    table.AppendRow(row);
+  }
+  return reader.status();
 }
 
 }  // namespace anatomy

@@ -10,6 +10,7 @@
 
 #include "anatomy/partition.h"
 #include "common/status.h"
+#include "storage/publication.h"
 #include "table/table.h"
 
 namespace anatomy {
@@ -69,6 +70,15 @@ class AnatomizedTables {
   std::vector<GroupId> group_of_row_;
   std::vector<std::vector<std::pair<Code, uint32_t>>> group_histograms_;
 };
+
+/// Appends every record of one published file (a QIT or an ST on disk) to
+/// `table` as a row, streaming page by page, with `gid_offset` added to
+/// field `gid_field` (the record's group id). Returns FailedPrecondition
+/// when the file's record width differs from the table's, and the reader's
+/// status (kDataLoss for corrupt pages or counts) otherwise.
+Status AppendPublishedFile(Disk* disk, const PublishedFileMeta& meta,
+                           const RetryPolicy& retry, size_t gid_field,
+                           GroupId gid_offset, Table& table);
 
 }  // namespace anatomy
 

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
+#include <vector>
 
 #include "anatomy/eligibility.h"
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
@@ -15,18 +14,12 @@ namespace anatomy {
 
 namespace {
 
-/// Group-membership hash sets on the arena: one per emitted group, hot in
-/// both the draw loop and residue assignment.
-using ArenaCodeSet = std::unordered_set<Code, std::hash<Code>,
-                                        std::equal_to<Code>,
-                                        ArenaAllocator<Code>>;
-
 /// Per-sensitive-value bucket of row ids. Removal order is randomized by
 /// swapping a random element to the back before popping, which implements
 /// Line 7's "remove an arbitrary tuple" without O(n) erasure.
 struct Bucket {
   Code value = 0;
-  ArenaVector<RowId> rows;
+  std::vector<RowId> rows;
 
   RowId PopRandom(Rng& rng) {
     ANATOMY_CHECK(!rows.empty());
@@ -38,7 +31,7 @@ struct Bucket {
   }
 };
 
-using BucketList = ArenaVector<Bucket>;
+using BucketList = std::vector<Bucket>;
 
 BucketList HashBySensitiveValue(std::span<const Code> sensitive,
                                 Code domain) {
@@ -84,9 +77,7 @@ class LargestBucketQueue {
   }
 
  private:
-  std::priority_queue<std::pair<size_t, size_t>,
-                      ArenaVector<std::pair<size_t, size_t>>>
-      heap_;
+  std::priority_queue<std::pair<size_t, size_t>> heap_;
 };
 
 }  // namespace
@@ -118,7 +109,7 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
   // One fused pass validates the codes and checks eligibility (Property 1's
   // precondition: no value may occur more than n/l times).
   {
-    ArenaVector<uint64_t> counts(static_cast<size_t>(domain), 0);
+    std::vector<uint64_t> counts(static_cast<size_t>(domain), 0);
     for (Code v : sensitive) {
       if (v < 0 || v >= domain) {
         return Status::InvalidArgument("sensitive code out of domain");
@@ -156,17 +147,17 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
   size_t non_empty = buckets.size();
 
   Partition partition;
-  /// Sensitive values present in each group, parallel to partition.groups.
-  /// A hash set per group so residue assignment tests membership in O(1)
-  /// instead of scanning the group's value list.
-  ArenaVector<ArenaCodeSet> group_values;
+  /// The l sensitive values drawn into each group, flat: group g's values
+  /// are group_codes[g*l, (g+1)*l). Residue assignment reads membership
+  /// from here.
+  std::vector<Code> group_codes;
 
   // ---- Group-creation step (Lines 3-8). ----
   obs::ScopedSpan group_draw_span("anatomize.group_draw", "anatomize");
   Stopwatch group_draw_watch;
   LargestBucketQueue queue(buckets);
   size_t round_robin_cursor = 0;
-  ArenaVector<size_t> drawn;  // bucket indices used by this iteration
+  std::vector<size_t> drawn;  // bucket indices used by this iteration
   while (non_empty >= l) {
     drawn.clear();
     if (policy == BucketPolicy::kLargestFirst) {
@@ -204,13 +195,11 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
     // The group row list itself stays std::vector<RowId>: it is moved into
     // Partition, whose layout is public API.
     std::vector<RowId> group;
-    ArenaCodeSet values;
     group.reserve(l);
-    values.reserve(l);
     for (size_t idx : drawn) {
       Bucket& bucket = buckets[idx];
       group.push_back(bucket.PopRandom(rng));
-      values.insert(bucket.value);
+      group_codes.push_back(bucket.value);
       if (bucket.rows.empty()) {
         --non_empty;
       } else if (policy == BucketPolicy::kLargestFirst) {
@@ -218,7 +207,6 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
       }
     }
     partition.groups.push_back(std::move(group));
-    group_values.push_back(std::move(values));
   }
   group_draw_span.End();
   if (metrics_on) {
@@ -233,18 +221,25 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
   // (Property 1) when running the paper's policy; the round-robin ablation
   // can leave more, in which case the same per-tuple assignment is attempted
   // and may correctly fail.
-  ArenaVector<GroupId> candidates;
+  const size_t num_groups = partition.groups.size();
+  std::vector<uint8_t> has_value;  // has_value[g]: group g holds the value
+  std::vector<GroupId> candidates;
   for (const Bucket& bucket : buckets) {
+    if (bucket.rows.empty()) continue;
+    // Buckets hold distinct values, so placing this bucket's tuples only
+    // changes membership of this bucket's value.
+    has_value.assign(num_groups, 0);
+    for (size_t i = 0; i < group_codes.size(); ++i) {
+      if (group_codes[i] == bucket.value) has_value[i / l] = 1;
+    }
     for (RowId r : bucket.rows) {
       // S' = groups without this sensitive value (Line 11). Candidates are
       // collected in ascending group order so the rng draw below sees the
       // same sequence as the original linear-scan implementation — the
       // output partition is byte-identical for a fixed seed.
       candidates.clear();
-      for (GroupId g = 0; g < partition.groups.size(); ++g) {
-        if (!group_values[g].contains(bucket.value)) {
-          candidates.push_back(g);
-        }
+      for (GroupId g = 0; g < num_groups; ++g) {
+        if (has_value[g] == 0) candidates.push_back(g);
       }
       if (candidates.empty()) {
         return Status::Internal(
@@ -253,7 +248,7 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
       }
       const GroupId g = candidates[rng.NextBounded(candidates.size())];
       partition.groups[g].push_back(r);
-      group_values[g].insert(bucket.value);
+      has_value[g] = 1;
     }
   }
   residue_span.End();

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "anatomy/eligibility.h"
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -42,15 +41,14 @@ bool ShardEligible(std::span<const uint32_t> counts, uint64_t rows, int l) {
 }
 
 /// Appends `partition`'s groups to `merged`, translating the shard-local row
-/// ids through `rows` (local index -> global RowId). Group ids are prefix-
-/// offset implicitly: groups are appended in shard order.
-void AppendShardPartition(const Partition& partition,
-                          const std::vector<RowId>& rows, Partition& merged) {
-  for (const auto& group : partition.groups) {
-    std::vector<RowId> global;
-    global.reserve(group.size());
-    for (RowId local : group) global.push_back(rows[local]);
-    merged.groups.push_back(std::move(global));
+/// ids through `rows` (local index -> global RowId) in place, so a moved-in
+/// partition hands its group vectors over without a copy. Group ids are
+/// prefix-offset implicitly: groups are appended in shard order.
+void AppendShardPartition(Partition partition, const std::vector<RowId>& rows,
+                          Partition& merged) {
+  for (auto& group : partition.groups) {
+    for (RowId& r : group) r = rows[r];
+    merged.groups.push_back(std::move(group));
   }
 }
 
@@ -75,12 +73,10 @@ StatusOr<ShardSplit> SplitForSharding(std::span<const Code> sensitive,
   // per-shard count of v is ceil(c_v / S) or floor(c_v / S) exactly. Rows
   // are visited in ascending order, so every shard's row list is sorted. ----
   const size_t dsize = static_cast<size_t>(domain);
-  ArenaVector<uint32_t> next_shard(dsize, 0);
-  // shard_rows elements are std::vector<RowId>: they move into
-  // ShardSplit::shard_rows, whose layout is public API.
+  std::vector<uint32_t> next_shard(dsize, 0);
   std::vector<std::vector<RowId>> shard_rows(shards);
-  ArenaVector<ArenaVector<uint32_t>> shard_counts(
-      shards, ArenaVector<uint32_t>(dsize, 0));
+  std::vector<std::vector<uint32_t>> shard_counts(
+      shards, std::vector<uint32_t>(dsize, 0));
   for (RowId r = 0; r < sensitive.size(); ++r) {
     const Code v = sensitive[r];
     if (v < 0 || v >= domain) {
@@ -94,7 +90,7 @@ StatusOr<ShardSplit> SplitForSharding(std::span<const Code> sensitive,
   // Global eligibility: without it no merge sequence can terminate in an
   // eligible shard (the fully merged shard is the input itself).
   {
-    ArenaVector<uint32_t> totals(dsize, 0);
+    std::vector<uint32_t> totals(dsize, 0);
     for (size_t s = 0; s < shards; ++s) {
       for (size_t v = 0; v < dsize; ++v) totals[v] += shard_counts[s][v];
     }
@@ -173,7 +169,7 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
       pool.Submit([this, s, &split, &sensitive, domain, &shard_partitions] {
         obs::ScopedSpan shard_span("anatomize.shard.run", "anatomize");
         const std::vector<RowId>& rows = split.shard_rows[s];
-        ArenaVector<Code> codes;
+        std::vector<Code> codes;
         codes.reserve(rows.size());
         for (RowId r : rows) codes.push_back(sensitive[r]);
         Anatomizer shard_anatomizer(
@@ -195,8 +191,8 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
                         std::to_string(num_shards) + " failed: " +
                         shard_partitions[s].status().message());
     }
-    AppendShardPartition(shard_partitions[s].value(), split.shard_rows[s],
-                         result.partition);
+    AppendShardPartition(std::move(shard_partitions[s]).value(),
+                         split.shard_rows[s], result.partition);
   }
 
   if (obs::MetricsEnabled()) {
@@ -282,8 +278,8 @@ StatusOr<ShardedExternalAnatomizeResult> ShardedExternalAnatomizer::Run(
                         std::to_string(num_shards) + " failed: " +
                         shard_results[s].status().message());
     }
-    const ExternalAnatomizeResult& shard = shard_results[s].value();
-    AppendShardPartition(shard.partition, split.shard_rows[s],
+    ExternalAnatomizeResult& shard = shard_results[s].value();
+    AppendShardPartition(std::move(shard.partition), split.shard_rows[s],
                          result.partition);
     result.io += shard.io;
     result.qit_pages += shard.qit_pages;
@@ -369,7 +365,8 @@ StatusOr<ShardedPublishResult> ShardedExternalAnatomizer::RunPublished(
     ExternalAnatomizeResult& shard = shard_results[s].value();
     AppendShardPartition(shard.partition, split.shard_rows[s], result.merged);
     Partition global;
-    AppendShardPartition(shard.partition, split.shard_rows[s], global);
+    AppendShardPartition(std::move(shard.partition), split.shard_rows[s],
+                         global);
     result.shard_partitions.push_back(std::move(global));
     result.manifests.push_back(std::move(shard.manifest));
     result.io += shard.io;

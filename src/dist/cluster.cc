@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "obs/flightrec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -243,29 +244,46 @@ StatusOr<EpochPublishReport> DistCluster::PublishEpoch(
     return Killed("after-commit");
   }
 
-  // ---- ACTIVATE: nodes load the new epoch. A failed activation leaves the
-  // node serving nothing (degraded) — never the old epoch. ----
+  // ---- ACTIVATE: nodes load the new epoch, concurrently: each touches only
+  // its own disk, pool and serving state. Outcomes are applied in node
+  // order once all have finished, so the report and the coordinator's
+  // epoch flight records do not depend on scheduling (the fault records a
+  // node's disk logs while it reads interleave, as during PREPARE). A
+  // failed activation leaves the node serving nothing (degraded) — never
+  // the old epoch. ----
   EpochPublishReport report;
   report.epoch = next.epoch;
   report.shards_run = pub.shards_run;
   report.merged_shards = pub.merged_shards;
-  GroupId offset = 0;
+  std::vector<GroupId> offsets(nodes_.size(), 0);
+  for (size_t i = 1; i < nodes_.size(); ++i) {
+    offsets[i] = offsets[i - 1] + next.nodes[i - 1].group_count;
+  }
+  std::vector<Status> activated(nodes_.size());
+  {
+    ThreadPool thread_pool(options_.publish_threads);
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (next.nodes[i].root == kInvalidPageId) continue;
+      thread_pool.Submit([this, i, &pub, &next, &offsets, &activated] {
+        activated[i] = nodes_[i]->Activate(
+            pub.manifests[i], next.epoch, next.nodes[i].group_count,
+            offsets[i], qi_defs_, sensitive_def_);
+      });
+    }
+    thread_pool.Wait();
+  }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (next.nodes[i].root == kInvalidPageId) {
       nodes_[i]->Deactivate();
       continue;
     }
-    const Status s = nodes_[i]->Activate(pub.manifests[i], next.epoch,
-                                         next.nodes[i].group_count, offset,
-                                         qi_defs_, sensitive_def_);
-    if (!s.ok()) {
+    if (!activated[i].ok()) {
       nodes_[i]->Deactivate();
       ++report.activation_failures;
       LogEpochFlight(obs::FlightEventType::kEpochActivate,
                      obs::ReasonCode::kActivationFailed, next.epoch,
                      static_cast<int32_t>(i), 0);
     }
-    offset += next.nodes[i].group_count;
   }
   LogEpochFlight(obs::FlightEventType::kEpochActivate, obs::ReasonCode::kNone,
                  next.epoch, -1,
@@ -391,29 +409,20 @@ StatusOr<AnatomizedTables> DistCluster::BuildMergedTables() {
 
   // Concatenate in node order: per-group row order is each node's published
   // group-major order, the same order the node's own engine serves — the
-  // invariant the bit-identical merge rests on.
+  // invariant the bit-identical merge rests on. Records stream from the
+  // pages into the columns with their group id shifted by the node's offset.
   GroupId offset = 0;
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const NodeEpochInfo& info = record_.nodes[i];
     if (info.root == kInvalidPageId) continue;
     const RetryPolicy& retry = nodes_[i]->pool()->retry_policy();
-    ANATOMY_ASSIGN_OR_RETURN(
-        StorageManifest manifest,
-        LoadPublication(nodes_[i]->disk(), info.root, retry));
-    ANATOMY_ASSIGN_OR_RETURN(
-        auto qit_records,
-        ReadPublishedFile(nodes_[i]->disk(), manifest.qit, retry));
-    ANATOMY_ASSIGN_OR_RETURN(
-        auto st_records,
-        ReadPublishedFile(nodes_[i]->disk(), manifest.st, retry));
-    for (auto& rec : qit_records) {
-      rec[d] += static_cast<int32_t>(offset);
-      qit.AppendRow(rec);
-    }
-    for (auto& rec : st_records) {
-      rec[0] += static_cast<int32_t>(offset);
-      st.AppendRow(rec);
-    }
+    Disk* disk = nodes_[i]->disk();
+    ANATOMY_ASSIGN_OR_RETURN(StorageManifest manifest,
+                             LoadPublication(disk, info.root, retry));
+    ANATOMY_RETURN_IF_ERROR(
+        AppendPublishedFile(disk, manifest.qit, retry, d, offset, qit));
+    ANATOMY_RETURN_IF_ERROR(
+        AppendPublishedFile(disk, manifest.st, retry, 0, offset, st));
     offset += info.group_count;
   }
   return AnatomizedTables::FromPublishedTables(std::move(qit), std::move(st));

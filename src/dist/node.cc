@@ -17,36 +17,29 @@ Status DistNode::Activate(const StorageManifest& manifest, uint64_t epoch,
                           const std::vector<AttributeDef>& qi_defs,
                           const AttributeDef& sensitive_def) {
   Deactivate();
-  const RetryPolicy& retry = pool_.retry_policy();
-  ANATOMY_ASSIGN_OR_RETURN(auto qit_records,
-                           ReadPublishedFile(&faults_, manifest.qit, retry));
-  ANATOMY_ASSIGN_OR_RETURN(auto st_records,
-                           ReadPublishedFile(&faults_, manifest.st, retry));
-  if (manifest.qit.fields != qi_defs.size() + 1) {
-    return Status::FailedPrecondition(
-        "published QIT has " + std::to_string(manifest.qit.fields) +
-        " fields but the data dictionary names " +
-        std::to_string(qi_defs.size()) + " QI attributes");
-  }
 
-  // Rebuild the published tables with the shared data dictionary. Group ids
-  // on disk are node-local and dense, exactly what FromPublishedTables
-  // validates; Serve() adds the epoch's offset when answering.
+  // Rebuild the published tables with the shared data dictionary, decoding
+  // pages straight into the columns. Group ids on disk are node-local and
+  // dense, exactly what FromPublishedTables validates; Serve() adds the
+  // epoch's offset when answering.
+  const RetryPolicy& retry = pool_.retry_policy();
   const AttributeDef group_def = MakeNumerical(
       "Group-ID", static_cast<Code>(group_count), /*base=*/1);
   std::vector<AttributeDef> qit_defs = qi_defs;
   qit_defs.push_back(group_def);
   Table qit(std::make_shared<Schema>(std::move(qit_defs)));
-  qit.Reserve(static_cast<RowId>(qit_records.size()));
-  for (const auto& rec : qit_records) qit.AppendRow(rec);
+  ANATOMY_RETURN_IF_ERROR(AppendPublishedFile(
+      &faults_, manifest.qit, retry, qi_defs.size(), /*gid_offset=*/0, qit));
 
   std::vector<AttributeDef> st_defs;
   st_defs.push_back(group_def);
   st_defs.push_back(sensitive_def);
   st_defs.push_back(MakeNumerical(
-      "Count", static_cast<Code>(qit_records.size()) + 1));
+      "Count", static_cast<Code>(manifest.qit.records) + 1));
   Table st(std::make_shared<Schema>(std::move(st_defs)));
-  for (const auto& rec : st_records) st.AppendRow(rec);
+  ANATOMY_RETURN_IF_ERROR(AppendPublishedFile(&faults_, manifest.st, retry,
+                                              /*gid_field=*/0,
+                                              /*gid_offset=*/0, st));
 
   ANATOMY_ASSIGN_OR_RETURN(AnatomizedTables tables,
                            AnatomizedTables::FromPublishedTables(

@@ -79,23 +79,9 @@ uint64_t Histogram::BucketUpperBound(size_t i) {
   return (uint64_t{1} << i) - 1;
 }
 
-namespace {
-
-/// Round-robin shard assignment: the first kNumShards recording threads
-/// each get a private shard of every histogram; later threads wrap. The
-/// index is process-global so one thread uses the same shard slot in all
-/// histograms (one thread_local read on the hot path).
-size_t ThisThreadShardIndex() {
-  static std::atomic<size_t> next_thread{0};
-  thread_local const size_t index =
-      next_thread.fetch_add(1, std::memory_order_relaxed);
-  return index;
-}
-
-}  // namespace
-
 void Histogram::Record(uint64_t v) {
-  Shard& s = shards_[ThisThreadShardIndex() % kNumShards];
+  Shard& s =
+      shards_[internal::ThisThreadShardIndex() % internal::kMetricShards];
   s.buckets[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
   s.sum.fetch_add(v, std::memory_order_relaxed);

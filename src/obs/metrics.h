@@ -12,8 +12,10 @@
 //      Per-shard recordings merge deterministically because counter addition
 //      is exact and commutative.
 //   3. Near-zero cost: an enabled counter increment is one relaxed
-//      fetch_add. Hot paths that need a clock read (per-query latency) gate
-//      on MetricsEnabled() so the disabled mode costs one relaxed load.
+//      fetch_add on the calling thread's own shard, so threads counting the
+//      same event never share a cache line. Hot paths that need a clock
+//      read (per-query latency) gate on MetricsEnabled() so the disabled
+//      mode costs one relaxed load.
 //
 // Naming scheme (see DESIGN.md §7): lowercase dotted paths,
 // `<subsystem>.<object>.<what>`, with `_ns` suffixing duration histograms —
@@ -40,17 +42,51 @@ namespace obs {
 void SetMetricsEnabled(bool enabled);
 bool MetricsEnabled();
 
-/// Monotonically increasing event count.
+namespace internal {
+
+/// Round-robin shard assignment shared by the sharded metrics: the first
+/// kMetricShards recording threads each get a private shard of every
+/// counter and histogram; later threads wrap. The index is process-global,
+/// so one thread uses the same shard slot in every metric.
+inline size_t ThisThreadShardIndex() {
+  static std::atomic<size_t> next_thread{0};
+  thread_local const size_t index =
+      next_thread.fetch_add(1, std::memory_order_relaxed);
+  return index;
+}
+
+/// 16 shards cover the pool sizes the runners use; threads beyond that
+/// share shards (still exact, just contended again).
+inline constexpr size_t kMetricShards = 16;
+
+}  // namespace internal
+
+/// Monotonically increasing event count, sharded per thread like
+/// Histogram: Increment touches only the calling thread's cache line, and
+/// value() sums the shards, which is exact.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
+    shards_[internal::ThisThreadShardIndex() % internal::kMetricShards]
+        .value.fetch_add(n, std::memory_order_relaxed);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t total = 0;
+    for (const Shard& s : shards_) {
+      total += s.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  void Reset() {
+    for (Shard& s : shards_) s.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> value{0};
+  };
+
+  Shard shards_[internal::kMetricShards];
 };
 
 /// Point-in-time signed level (pool occupancy, buffered tuples, ...).
@@ -71,7 +107,7 @@ class Gauge {
 /// coarse, but allocation-free and mergeable by pure addition.
 ///
 /// Internally sharded for write scalability: each recording thread lands on
-/// one of kNumShards cache-line-padded shards (a round-robin thread_local
+/// one of kMetricShards cache-line-padded shards (a round-robin thread_local
 /// index), so concurrent Record() calls from different threads don't
 /// ping-pong the same counter lines. Readers merge the shards — addition is
 /// exact and commutative, so every accessor returns the same totals as the
@@ -113,10 +149,6 @@ class Histogram {
   void Reset();
 
  private:
-  /// 16 shards cover the pool sizes the runners use; threads beyond that
-  /// share shards (still exact, just contended again).
-  static constexpr size_t kNumShards = 16;
-
   struct alignas(64) Shard {
     std::atomic<uint64_t> buckets[kNumBuckets] = {};
     std::atomic<uint64_t> count{0};
@@ -126,7 +158,7 @@ class Histogram {
     std::atomic<uint64_t> max{0};
   };
 
-  Shard shards_[kNumShards];
+  Shard shards_[internal::kMetricShards];
 };
 
 /// One consistent-enough read of a registry (each metric is read atomically;

@@ -17,6 +17,44 @@ BufferPool::BufferPool(Disk* disk, size_t capacity_pages,
   obs_retries_ = registry->GetCounter("storage.pool.retries");
 }
 
+BufferPool::Frame& BufferPool::AddFrame(PageId id) {
+  Frame* frame;
+  if (spare_.empty()) {
+    frame = &frames_[id];
+  } else {
+    FrameMap::node_type node = std::move(spare_.back());
+    spare_.pop_back();
+    node.key() = id;
+    frame = &frames_.insert(std::move(node)).position->second;
+  }
+  frame->id = id;
+  frame->pin_count = 0;
+  frame->dirty = false;
+  frame->in_lru = false;
+  return *frame;
+}
+
+void BufferPool::RemoveFrame(FrameMap::iterator it) {
+  if (it->second.in_lru) LruRemove(it->second);
+  spare_.push_back(frames_.extract(it));
+}
+
+void BufferPool::LruPushBack(Frame& frame) {
+  frame.lru_prev = lru_tail_;
+  frame.lru_next = nullptr;
+  (lru_tail_ != nullptr ? lru_tail_->lru_next : lru_head_) = &frame;
+  lru_tail_ = &frame;
+  frame.in_lru = true;
+}
+
+void BufferPool::LruRemove(Frame& frame) {
+  (frame.lru_prev != nullptr ? frame.lru_prev->lru_next : lru_head_) =
+      frame.lru_next;
+  (frame.lru_next != nullptr ? frame.lru_next->lru_prev : lru_tail_) =
+      frame.lru_prev;
+  frame.in_lru = false;
+}
+
 size_t BufferPool::pinned_frames() const {
   size_t n = 0;
   for (const auto& [id, frame] : frames_) n += (frame.pin_count > 0);
@@ -40,12 +78,12 @@ Status BufferPool::WriteWithRetry(PageId id, const Page& in) {
 }
 
 Status BufferPool::EvictOne() {
-  if (lru_.empty()) {
+  if (lru_head_ == nullptr) {
     return Status::FailedPrecondition(
         "buffer pool exhausted: all " + std::to_string(capacity_) +
         " frames are pinned");
   }
-  const PageId victim = lru_.front();
+  const PageId victim = lru_head_->id;
   auto it = frames_.find(victim);
   if (it == frames_.end()) {
     return Status::Internal("LRU victim page " + std::to_string(victim) +
@@ -57,8 +95,7 @@ Status BufferPool::EvictOne() {
     ANATOMY_RETURN_IF_ERROR(WriteWithRetry(victim, it->second.page));
     obs_writebacks_->Increment();
   }
-  lru_.pop_front();
-  frames_.erase(it);
+  RemoveFrame(it);
   obs_evictions_->Increment();
   return Status::OK();
 }
@@ -67,10 +104,7 @@ StatusOr<Page*> BufferPool::Pin(PageId id) {
   auto it = frames_.find(id);
   if (it != frames_.end()) {
     Frame& frame = it->second;
-    if (frame.in_lru) {
-      lru_.erase(frame.lru_pos);
-      frame.in_lru = false;
-    }
+    if (frame.in_lru) LruRemove(frame);
     ++frame.pin_count;
     obs_hits_->Increment();
     return &frame.page;
@@ -79,11 +113,12 @@ StatusOr<Page*> BufferPool::Pin(PageId id) {
   if (frames_.size() >= capacity_) {
     ANATOMY_RETURN_IF_ERROR(EvictOne());
   }
-  Frame& frame = frames_[id];
+  Frame& frame = AddFrame(id);
   frame.pin_count = 1;
   Status read = ReadWithRetry(id, frame.page);
   if (!read.ok()) {
-    frames_.erase(id);  // a failed Pin must not leak a pinned frame
+    // A failed Pin must not leak a pinned frame.
+    RemoveFrame(frames_.find(id));
     return read;
   }
   return &frame.page;
@@ -94,7 +129,7 @@ StatusOr<Page*> BufferPool::PinNew(PageId* out_id) {
     ANATOMY_RETURN_IF_ERROR(EvictOne());
   }
   const PageId id = disk_->AllocatePage();
-  Frame& frame = frames_[id];
+  Frame& frame = AddFrame(id);
   frame.pin_count = 1;
   frame.dirty = true;  // Fresh pages must reach disk even if never re-written.
   frame.page.Clear();
@@ -110,10 +145,7 @@ Status BufferPool::Unpin(PageId id, bool dirty) {
   }
   Frame& frame = it->second;
   frame.dirty = frame.dirty || dirty;
-  if (--frame.pin_count == 0) {
-    frame.lru_pos = lru_.insert(lru_.end(), id);
-    frame.in_lru = true;
-  }
+  if (--frame.pin_count == 0) LruPushBack(frame);
   return Status::OK();
 }
 
@@ -128,8 +160,7 @@ Status BufferPool::FlushAll() {
       obs_writebacks_->Increment();
     }
   }
-  frames_.clear();
-  lru_.clear();
+  while (!frames_.empty()) RemoveFrame(frames_.begin());
   return Status::OK();
 }
 
@@ -140,8 +171,7 @@ Status BufferPool::Discard(PageId id) {
       return Status::FailedPrecondition("discard of pinned page " +
                                         std::to_string(id));
     }
-    if (it->second.in_lru) lru_.erase(it->second.lru_pos);
-    frames_.erase(it);
+    RemoveFrame(it);
   }
   disk_->FreePage(id);
   return Status::OK();
@@ -149,7 +179,9 @@ Status BufferPool::Discard(PageId id) {
 
 void BufferPool::DropAll() {
   frames_.clear();
-  lru_.clear();
+  spare_.clear();
+  lru_head_ = nullptr;
+  lru_tail_ = nullptr;
 }
 
 }  // namespace anatomy

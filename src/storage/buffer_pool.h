@@ -16,11 +16,9 @@
 #define ANATOMY_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/disk.h"
@@ -79,24 +77,31 @@ class BufferPool {
   size_t pinned_frames() const;
 
  private:
-  /// Frame map nodes (one ~4KB Page each) and LRU list nodes go through the
-  /// arena: frames churn with every miss/eviction, and the slab classes
-  /// keep same-sized nodes densely packed instead of scattered by malloc.
-  using LruList = std::list<PageId, ArenaAllocator<PageId>>;
-
+  /// The LRU list is threaded through the frames themselves, and the map
+  /// nodes of evicted frames are kept for the next miss, so pinning and
+  /// unpinning allocate nothing once the pool is warm. Per-record pin
+  /// traffic from several shard threads at once would otherwise churn the
+  /// heap (or serialize on a shared allocator's lock).
   struct Frame {
     Page page;
+    PageId id = kInvalidPageId;
     uint32_t pin_count = 0;
     bool dirty = false;
-    /// Position in lru_ when pin_count == 0.
-    LruList::iterator lru_pos;
+    /// Links in the LRU list, valid while in_lru (pin_count == 0).
+    Frame* lru_prev = nullptr;
+    Frame* lru_next = nullptr;
     bool in_lru = false;
   };
 
-  using FrameMap =
-      std::unordered_map<PageId, Frame, std::hash<PageId>,
-                         std::equal_to<PageId>,
-                         ArenaAllocator<std::pair<const PageId, Frame>>>;
+  using FrameMap = std::unordered_map<PageId, Frame>;
+
+  /// Inserts a frame for `id` with no pins and clean metadata (page bytes
+  /// are left for the caller to fill), reusing a spare map node if any.
+  Frame& AddFrame(PageId id);
+  /// Removes the frame at `it` from the map, keeping its node as a spare.
+  void RemoveFrame(FrameMap::iterator it);
+  void LruPushBack(Frame& frame);
+  void LruRemove(Frame& frame);
 
   /// Both retry wrappers mirror the retries they absorb into the
   /// `storage.pool.retries` counter (as a delta of io_retries_) so the
@@ -113,8 +118,11 @@ class BufferPool {
   RetryPolicy retry_policy_;
   uint64_t io_retries_ = 0;
   FrameMap frames_;
-  /// Unpinned pages, least recently used first.
-  LruList lru_;
+  /// Map nodes of removed frames, reused by AddFrame.
+  std::vector<FrameMap::node_type> spare_;
+  /// Unpinned frames, least recently used first.
+  Frame* lru_head_ = nullptr;
+  Frame* lru_tail_ = nullptr;
   obs::Counter* obs_hits_;
   obs::Counter* obs_misses_;
   obs::Counter* obs_evictions_;

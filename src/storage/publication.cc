@@ -1,7 +1,7 @@
 #include "storage/publication.h"
 
 #include <algorithm>
-#include <map>
+#include <cstring>
 
 namespace anatomy {
 
@@ -48,6 +48,28 @@ Status WriteWithRetry(Disk* disk, const RetryPolicy& retry, PageId id,
                       const Page& in) {
   return RunWithRetry(retry, nullptr,
                       [&] { return disk->WritePage(id, in); });
+}
+
+/// The geometry checks every reader of a manifest relies on: records have
+/// a width that fits a page, and the listed pages can hold the claimed
+/// record count. `fields` is checked first: RecordsPerPage(0) divides by
+/// zero.
+Status CheckFileGeometry(const PublishedFileMeta& meta, const char* name) {
+  const size_t per_page =
+      meta.fields == 0 ? 0 : RecordPageLayout::RecordsPerPage(meta.fields);
+  if (per_page == 0) {
+    return Status::DataLoss(std::string(name) + " records claim " +
+                            std::to_string(meta.fields) +
+                            " fields, which no page can hold");
+  }
+  if (meta.records > meta.pages.size() * static_cast<uint64_t>(per_page)) {
+    return Status::DataLoss(
+        std::string(name) + " claims " + std::to_string(meta.records) +
+        " records but its " + std::to_string(meta.pages.size()) +
+        " pages hold at most " +
+        std::to_string(meta.pages.size() * static_cast<uint64_t>(per_page)));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -186,41 +208,63 @@ StatusOr<StorageManifest> LoadPublication(Disk* disk, PageId root,
                             entries.begin() + static_cast<ptrdiff_t>(qit_page_count));
   manifest.st.pages.assign(entries.begin() + static_cast<ptrdiff_t>(qit_page_count),
                            entries.end());
+  ANATOMY_RETURN_IF_ERROR(CheckFileGeometry(manifest.qit, "QIT"));
+  ANATOMY_RETURN_IF_ERROR(CheckFileGeometry(manifest.st, "ST"));
   return manifest;
 }
 
-StatusOr<std::vector<std::vector<int32_t>>> ReadPublishedFile(
-    Disk* disk, const PublishedFileMeta& meta, const RetryPolicy& retry) {
-  if (meta.fields == 0) {
-    return Status::InvalidArgument("published file has zero-width records");
+PublishedRecordReader::PublishedRecordReader(Disk* disk,
+                                             const PublishedFileMeta& meta,
+                                             const RetryPolicy& retry)
+    : disk_(disk), meta_(meta), retry_(retry), fields_(meta.fields) {
+  status_ = CheckFileGeometry(meta, "published file");
+  if (status_.ok()) {
+    values_.resize(RecordPageLayout::RecordsPerPage(fields_) * fields_);
   }
-  const size_t per_page = RecordPageLayout::RecordsPerPage(meta.fields);
-  std::vector<std::vector<int32_t>> records;
-  records.reserve(static_cast<size_t>(meta.records));
-  for (PageId id : meta.pages) {
-    Page page;
-    ANATOMY_RETURN_IF_ERROR(ReadWithRetry(disk, retry, id, page));
-    const size_t count = static_cast<size_t>(page.ReadInt32(0));
-    if (count > per_page) {
-      return Status::DataLoss("page " + std::to_string(id) +
-                              " claims more records than fit");
-    }
-    for (size_t r = 0; r < count; ++r) {
-      std::vector<int32_t> rec(meta.fields);
-      const size_t offset = RecordPageLayout::RecordOffset(r, meta.fields);
-      for (size_t f = 0; f < meta.fields; ++f) {
-        rec[f] = page.ReadInt32(offset + f * sizeof(int32_t));
+}
+
+bool PublishedRecordReader::LoadNextPage() {
+  const PageId id = meta_.pages[page_index_++];
+  Page page;
+  status_ = ReadWithRetry(disk_, retry_, id, page);
+  if (!status_.ok()) return false;
+  const int32_t count = page.ReadInt32(0);
+  if (count < 0 || static_cast<size_t>(count) * fields_ > values_.size()) {
+    status_ = Status::DataLoss("page " + std::to_string(id) +
+                               " claims more records than fit");
+    return false;
+  }
+  if (records_read_ + static_cast<uint64_t>(count) > meta_.records) {
+    status_ = Status::DataLoss("published file holds more than the " +
+                               std::to_string(meta_.records) +
+                               " records its manifest claims");
+    return false;
+  }
+  std::memcpy(values_.data(),
+              page.bytes.data() + RecordPageLayout::RecordOffset(0, fields_),
+              static_cast<size_t>(count) * fields_ * sizeof(int32_t));
+  in_page_ = static_cast<size_t>(count);
+  next_in_page_ = 0;
+  return true;
+}
+
+bool PublishedRecordReader::Next() {
+  while (next_in_page_ == in_page_) {
+    if (!status_.ok()) return false;
+    if (page_index_ == meta_.pages.size()) {
+      if (records_read_ != meta_.records) {
+        status_ = Status::DataLoss("published file holds " +
+                                   std::to_string(records_read_) +
+                                   " records, manifest claims " +
+                                   std::to_string(meta_.records));
       }
-      records.push_back(std::move(rec));
+      return false;
     }
+    if (!LoadNextPage()) return false;
   }
-  if (records.size() != meta.records) {
-    return Status::DataLoss("published file holds " +
-                            std::to_string(records.size()) +
-                            " records, manifest claims " +
-                            std::to_string(meta.records));
-  }
-  return records;
+  current_ = next_in_page_++ * fields_;
+  ++records_read_;
+  return true;
 }
 
 Status VerifyPublication(Disk* disk, const StorageManifest& manifest,
@@ -233,62 +277,85 @@ Status VerifyPublication(Disk* disk, const StorageManifest& manifest,
       loaded.st.pages != manifest.st.pages) {
     return Status::DataLoss("manifest chain does not match the publication");
   }
-
-  ANATOMY_ASSIGN_OR_RETURN(auto qit_records,
-                           ReadPublishedFile(disk, loaded.qit, retry));
-  ANATOMY_ASSIGN_OR_RETURN(auto st_records,
-                           ReadPublishedFile(disk, loaded.st, retry));
   if (loaded.st.fields != 3) {
     return Status::FailedPrecondition("ST records must be [group, value, count]");
   }
 
   // Group-file consistency: per-group QIT cardinality must equal the group's
   // ST count sum, groups must match across the two files, and each group
-  // must satisfy the l-diversity bound the manifest claims.
-  std::map<int32_t, uint64_t> qit_group_sizes;
-  const size_t gid_field = loaded.qit.fields - 1;
-  for (const auto& rec : qit_records) {
-    const int32_t g = rec[gid_field];
-    if (g < 0) {
-      return Status::FailedPrecondition("QIT record with negative group id");
-    }
-    ++qit_group_sizes[g];
-  }
-  struct StGroup {
-    uint64_t size = 0;
+  // must satisfy the l-diversity bound the manifest claims. Tallies are
+  // indexed by group id, which must lie in [0, QIT records); they grow with
+  // the largest id seen.
+  const uint64_t id_limit = loaded.qit.records;
+  struct GroupTally {
+    uint64_t qit_size = 0;
+    uint64_t st_size = 0;
     uint64_t max_count = 0;
-    uint64_t distinct = 0;
   };
-  std::map<int32_t, StGroup> st_groups;
-  for (const auto& rec : st_records) {
+  std::vector<GroupTally> groups;
+  // The tally of group `g`, or null when g is out of range.
+  auto tally = [&](int32_t g) -> GroupTally* {
+    if (g < 0 || static_cast<uint64_t>(g) >= id_limit) return nullptr;
+    if (static_cast<size_t>(g) >= groups.size()) {
+      groups.resize(static_cast<size_t>(g) + 1);
+    }
+    return &groups[static_cast<size_t>(g)];
+  };
+  auto out_of_range = [&](const char* file, int32_t g) {
+    return Status::FailedPrecondition(
+        std::string(file) + " record with group id " + std::to_string(g) +
+        " outside [0, " + std::to_string(id_limit) + ")");
+  };
+
+  const size_t gid_field = loaded.qit.fields - 1;
+  PublishedRecordReader qit(disk, loaded.qit, retry);
+  while (qit.Next()) {
+    const int32_t gid = qit.record()[gid_field];
+    GroupTally* g = tally(gid);
+    if (g == nullptr) return out_of_range("QIT", gid);
+    ++g->qit_size;
+  }
+  ANATOMY_RETURN_IF_ERROR(qit.status());
+  PublishedRecordReader st(disk, loaded.st, retry);
+  while (st.Next()) {
+    const std::span<const int32_t> rec = st.record();
     if (rec[2] <= 0) {
       return Status::FailedPrecondition("ST record with non-positive count");
     }
-    StGroup& g = st_groups[rec[0]];
-    g.size += static_cast<uint64_t>(rec[2]);
-    g.max_count = std::max(g.max_count, static_cast<uint64_t>(rec[2]));
-    ++g.distinct;
+    GroupTally* g = tally(rec[0]);
+    if (g == nullptr) return out_of_range("ST", rec[0]);
+    const uint64_t count = static_cast<uint64_t>(rec[2]);
+    g->st_size += count;
+    g->max_count = std::max(g->max_count, count);
   }
-  if (qit_group_sizes.size() != st_groups.size()) {
+  ANATOMY_RETURN_IF_ERROR(st.status());
+
+  size_t qit_groups = 0;
+  size_t st_groups = 0;
+  for (const GroupTally& g : groups) {
+    qit_groups += g.qit_size > 0;
+    st_groups += g.st_size > 0;
+  }
+  if (qit_groups != st_groups) {
     return Status::FailedPrecondition(
-        "QIT has " + std::to_string(qit_group_sizes.size()) +
-        " groups, ST has " + std::to_string(st_groups.size()));
+        "QIT has " + std::to_string(qit_groups) + " groups, ST has " +
+        std::to_string(st_groups));
   }
-  for (const auto& [gid, size] : qit_group_sizes) {
-    auto it = st_groups.find(gid);
-    if (it == st_groups.end()) {
+  for (size_t gid = 0; gid < groups.size(); ++gid) {
+    const GroupTally& g = groups[gid];
+    if (g.qit_size == 0) continue;
+    if (g.st_size == 0) {
       return Status::FailedPrecondition("group " + std::to_string(gid) +
                                         " missing from the ST");
     }
-    if (it->second.size != size) {
+    if (g.st_size != g.qit_size) {
       return Status::FailedPrecondition(
           "group " + std::to_string(gid) + ": QIT has " +
-          std::to_string(size) + " tuples, ST counts sum to " +
-          std::to_string(it->second.size));
+          std::to_string(g.qit_size) + " tuples, ST counts sum to " +
+          std::to_string(g.st_size));
     }
     if (manifest.l > 0 &&
-        it->second.max_count * static_cast<uint64_t>(manifest.l) >
-            it->second.size) {
+        g.max_count * static_cast<uint64_t>(manifest.l) > g.st_size) {
       return Status::FailedPrecondition(
           "group " + std::to_string(gid) + " violates " +
           std::to_string(manifest.l) + "-diversity");

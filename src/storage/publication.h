@@ -19,6 +19,7 @@
 #define ANATOMY_STORAGE_PUBLICATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -57,7 +58,10 @@ StatusOr<StorageManifest> CommitPublication(Disk* disk, const RecordFile& qit,
                                             const RecordFile& st, int32_t l,
                                             const RetryPolicy& retry = {});
 
-/// Reads a manifest chain back from its root page.
+/// Reads a manifest chain back from its root page. Returns kDataLoss when
+/// a file's record width is 0 or wider than a page, or its record count
+/// exceeds what its listed pages can hold, so callers may size buffers from
+/// the returned counts.
 StatusOr<StorageManifest> LoadPublication(Disk* disk, PageId root,
                                           const RetryPolicy& retry = {});
 
@@ -70,18 +74,60 @@ Status ProbePublicationRoot(Disk* disk, PageId root);
 
 /// Re-reads every page of `manifest` (manifest chain + QIT + ST), verifying
 /// checksums, and validates group-file consistency: record counts match the
-/// manifest, every QIT group id has ST records, per-group QIT cardinality
-/// equals the group's ST count sum, and (when manifest.l > 0) every group
-/// has at least l distinct sensitive values. Returns kDataLoss for any
-/// corrupted page, FailedPrecondition for consistency violations.
+/// manifest, group ids lie in [0, QIT records), the QIT and the ST name the
+/// same groups, per-group QIT cardinality equals the group's ST count sum,
+/// and (when manifest.l > 0) every group has at least l distinct sensitive
+/// values. Returns kDataLoss for any corrupted page, FailedPrecondition for
+/// consistency violations.
 Status VerifyPublication(Disk* disk, const StorageManifest& manifest,
                          const RetryPolicy& retry = {});
 
-/// Streams the records of one published file directly from disk (reads are
-/// retried under `retry`; corruption surfaces as kDataLoss). Row-major, one
-/// vector per record.
-StatusOr<std::vector<std::vector<int32_t>>> ReadPublishedFile(
-    Disk* disk, const PublishedFileMeta& meta, const RetryPolicy& retry = {});
+/// Streams the records of one published file straight from disk, a page at
+/// a time (reads are retried under `retry`; corruption surfaces as
+/// kDataLoss). Holds one decoded page and never sizes anything from the
+/// manifest's record count:
+///
+///   PublishedRecordReader reader(disk, meta, retry);
+///   while (reader.Next()) Use(reader.record());
+///   ANATOMY_RETURN_IF_ERROR(reader.status());
+///
+/// `disk` and `meta` must outlive the reader.
+class PublishedRecordReader {
+ public:
+  PublishedRecordReader(Disk* disk, const PublishedFileMeta& meta,
+                        const RetryPolicy& retry = {});
+  PublishedRecordReader(const PublishedRecordReader&) = delete;
+  PublishedRecordReader& operator=(const PublishedRecordReader&) = delete;
+
+  /// Advances to the next record. Returns false at the end of the file or
+  /// at the first error; status() tells which.
+  bool Next();
+
+  /// The current record: meta.fields values, valid until the next Next().
+  std::span<const int32_t> record() const {
+    return {values_.data() + current_, fields_};
+  }
+
+  /// OK unless the file's geometry is impossible, a page failed to read or
+  /// claims more records than fit, or the file holds a record count other
+  /// than the manifest's.
+  const Status& status() const { return status_; }
+
+ private:
+  bool LoadNextPage();
+
+  Disk* disk_;
+  const PublishedFileMeta& meta_;
+  RetryPolicy retry_;
+  size_t fields_;
+  size_t page_index_ = 0;    // next page of meta_.pages to load
+  size_t in_page_ = 0;       // records decoded from the current page
+  size_t next_in_page_ = 0;  // records of the current page handed out
+  size_t current_ = 0;       // offset of the current record in values_
+  uint64_t records_read_ = 0;
+  std::vector<int32_t> values_;  // the current page's records, row-major
+  Status status_;
+};
 
 /// Frees a committed publication (data + manifest chain), dropping any pool
 /// frames still caching its pages. After this the disk is as if the

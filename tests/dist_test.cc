@@ -359,6 +359,105 @@ TEST(DistTest, ConcurrentComputeMatchesSequentialServeAndReplays) {
 
 // ------------------------------------------------------ two-phase swaps
 
+TEST(DistTest, ConcurrentActivationPublishesTheSameEpochs) {
+  // publish_threads sizes the prepare pool and the activation pool. With
+  // one thread every node activates in node order; with four, six nodes
+  // activate concurrently. Everything a caller can observe must match.
+  struct Observed {
+    std::vector<EpochPublishReport> reports;
+    std::vector<EpochRecord> records;
+    std::vector<StorageManifest> manifests;  // epoch-major, then node
+    std::vector<GroupId> offsets;
+    std::vector<PartialEstimate> answers;
+  };
+  const Microdata md = MakeChaosMicrodata(3000, 4, 41);
+  auto publish = [&](size_t threads) {
+    DistClusterOptions copts;
+    copts.nodes = 6;
+    copts.l = 4;
+    copts.seed = 43;
+    copts.publish_threads = threads;
+    DistCluster cluster(copts);
+    ScatterGatherEstimator estimator(&cluster, DistQueryOptions{});
+    Observed out;
+    for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+      auto report = cluster.PublishEpoch(md);
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+      if (!report.ok()) return out;
+      out.reports.push_back(report.value());
+      out.records.push_back(cluster.record());
+      for (size_t i = 0; i < cluster.num_nodes(); ++i) {
+        DistNode* node = cluster.node(i);
+        EXPECT_TRUE(node->active());
+        EXPECT_EQ(node->epoch(), epoch);
+        out.manifests.push_back(node->manifest());
+        out.offsets.push_back(node->group_offset());
+      }
+      MixedWorkloadGenerator gen = MakeGenerator(md, 47 + epoch, 30);
+      for (int q = 0; q < 30; ++q) {
+        auto r = estimator.Estimate(gen.Next());
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        if (r.ok()) out.answers.push_back(r.value());
+      }
+    }
+    return out;
+  };
+  const Observed serial = publish(1);
+  const Observed concurrent = publish(4);
+
+  ASSERT_EQ(serial.reports.size(), 3u);
+  ASSERT_EQ(concurrent.reports.size(), serial.reports.size());
+  for (size_t e = 0; e < serial.reports.size(); ++e) {
+    const EpochPublishReport& x = serial.reports[e];
+    const EpochPublishReport& y = concurrent.reports[e];
+    EXPECT_EQ(x.epoch, y.epoch);
+    EXPECT_EQ(x.shards_run, y.shards_run);
+    EXPECT_EQ(x.merged_shards, y.merged_shards);
+    EXPECT_EQ(x.activation_failures, 0u);
+    EXPECT_EQ(y.activation_failures, 0u);
+    const EpochRecord& rx = serial.records[e];
+    const EpochRecord& ry = concurrent.records[e];
+    EXPECT_EQ(rx.epoch, ry.epoch);
+    EXPECT_EQ(rx.total_rows, ry.total_rows);
+    ASSERT_EQ(rx.nodes.size(), ry.nodes.size());
+    for (size_t i = 0; i < rx.nodes.size(); ++i) {
+      EXPECT_EQ(rx.nodes[i].root, ry.nodes[i].root);
+      EXPECT_EQ(rx.nodes[i].prev_root, ry.nodes[i].prev_root);
+      EXPECT_EQ(rx.nodes[i].group_count, ry.nodes[i].group_count);
+      EXPECT_EQ(rx.nodes[i].rows, ry.nodes[i].rows);
+    }
+  }
+  ASSERT_EQ(concurrent.manifests.size(), serial.manifests.size());
+  for (size_t k = 0; k < serial.manifests.size(); ++k) {
+    const StorageManifest& x = serial.manifests[k];
+    const StorageManifest& y = concurrent.manifests[k];
+    EXPECT_EQ(x.root, y.root);
+    EXPECT_EQ(x.l, y.l);
+    EXPECT_EQ(x.qit.fields, y.qit.fields);
+    EXPECT_EQ(x.qit.records, y.qit.records);
+    EXPECT_EQ(x.qit.pages, y.qit.pages);
+    EXPECT_EQ(x.st.fields, y.st.fields);
+    EXPECT_EQ(x.st.records, y.st.records);
+    EXPECT_EQ(x.st.pages, y.st.pages);
+    EXPECT_EQ(x.manifest_pages, y.manifest_pages);
+  }
+  EXPECT_EQ(serial.offsets, concurrent.offsets);
+  ASSERT_EQ(serial.answers.size(), 90u);
+  ASSERT_EQ(concurrent.answers.size(), serial.answers.size());
+  for (size_t q = 0; q < serial.answers.size(); ++q) {
+    SCOPED_TRACE("answer " + std::to_string(q));
+    const PartialEstimate& x = serial.answers[q];
+    const PartialEstimate& y = concurrent.answers[q];
+    EXPECT_TRUE(x.exact);
+    EXPECT_EQ(x.exact, y.exact);
+    EXPECT_EQ(x.value, y.value);
+    EXPECT_EQ(x.lower, y.lower);
+    EXPECT_EQ(x.upper, y.upper);
+    EXPECT_EQ(x.reasons, y.reasons);
+    EXPECT_EQ(x.virtual_ns, y.virtual_ns);
+  }
+}
+
 TEST(DistTest, EverySwapKillPointRecoversToOneConsistentEpoch) {
   const Microdata md1 = MakeChaosMicrodata(900, 3, 71);
   const Microdata md2 = MakeChaosMicrodata(900, 3, 73);

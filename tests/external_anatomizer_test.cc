@@ -119,6 +119,21 @@ TEST(ExternalAnatomizerTest, IoMatchesTheoremThreeAccounting) {
             bucket_pages + group_pages + qit_pages + st_pages);
 }
 
+TEST(ExternalAnatomizerTest, ThrashingPoolIoIsPinned) {
+  // 50 live bucket cursors plus the group writer against a 50-page pool:
+  // stage 2 cycles through more hot pages than there are frames, so the
+  // count depends on the LRU's exact eviction order, not on a closed form.
+  // Any change to the pool's replacement order moves it.
+  const Microdata md = MakeRoundRobinMicrodata(20011, 64, 50);
+  SimulatedDisk disk;
+  BufferPool pool(&disk, kDefaultPoolPages);
+  ExternalAnatomizer anatomizer(AnatomizerOptions{.l = 10, .seed = 3});
+  auto result = anatomizer.Run(md, &disk, &pool);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().io.reads, 20205u);
+  EXPECT_EQ(result.value().io.writes, 284u);
+}
+
 TEST(ExternalAnatomizerTest, LambdaAbovePoolFanoutStillWorks) {
   // 60 distinct sensitive values against a 16-page pool: forces the
   // two-level hash refinement path.

@@ -24,6 +24,7 @@ namespace anatomy {
 namespace {
 
 using testing_util::MakeRoundRobinMicrodata;
+using testing_util::ReadPublishedRecords;
 
 // ------------------------------------------------------------ schedules --
 
@@ -288,8 +289,8 @@ BaselineRun RunFaultFreeBaseline(const Microdata& md, int l,
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   BaselineRun baseline;
   baseline.partition = result.value().partition;
-  auto qit = ReadPublishedFile(&disk, result.value().manifest.qit);
-  auto st = ReadPublishedFile(&disk, result.value().manifest.st);
+  auto qit = ReadPublishedRecords(&disk, result.value().manifest.qit);
+  auto st = ReadPublishedRecords(&disk, result.value().manifest.st);
   EXPECT_TRUE(qit.ok());
   EXPECT_TRUE(st.ok());
   baseline.qit = qit.value();
@@ -331,8 +332,8 @@ TEST(FaultSweepTest, EverySweepRunSucceedsIdenticallyOrFailsCleanly) {
         ++successes;
         // Success must be bit-identical to the fault-free run.
         EXPECT_EQ(result.value().partition.groups, baseline.partition.groups);
-        auto qit = ReadPublishedFile(&disk, result.value().manifest.qit);
-        auto st = ReadPublishedFile(&disk, result.value().manifest.st);
+        auto qit = ReadPublishedRecords(&disk, result.value().manifest.qit);
+        auto st = ReadPublishedRecords(&disk, result.value().manifest.st);
         ASSERT_TRUE(qit.ok()) << qit.status().ToString();
         ASSERT_TRUE(st.ok()) << st.status().ToString();
         EXPECT_EQ(qit.value(), baseline.qit);
@@ -418,7 +419,7 @@ TEST(FaultSweepTest, CrashLeavesNoHalfPublication) {
     auto retried = anatomizer.RunPublished(md, &disk, &pool);
     ASSERT_TRUE(retried.ok()) << retried.status().ToString();
     EXPECT_EQ(retried.value().partition.groups, baseline.partition.groups);
-    auto qit = ReadPublishedFile(&disk, retried.value().manifest.qit);
+    auto qit = ReadPublishedRecords(&disk, retried.value().manifest.qit);
     ASSERT_TRUE(qit.ok());
     EXPECT_EQ(qit.value(), baseline.qit);
     ASSERT_TRUE(

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +38,38 @@ TEST(CounterTest, IncrementAndReset) {
   EXPECT_EQ(c.value(), 42u);
   c.Reset();
   EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(CounterTest, ShardedIncrementsAreExactInSnapshotAndExport) {
+  // More threads than shards, so some share a shard; every increment must
+  // still land exactly once in value(), the snapshot and the exposition.
+  constexpr size_t kThreads = 20;
+  constexpr uint64_t kPerThread = 50000;
+  MetricRegistry registry;
+  Counter* counter = registry.GetCounter("sharded.count");
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([counter, t] {
+      for (uint64_t i = 0; i < kPerThread; ++i) counter->Increment(t + 1);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const uint64_t expected = kPerThread * kThreads * (kThreads + 1) / 2;
+  EXPECT_EQ(counter->value(), expected);
+
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.counters.size(), 1u);
+  EXPECT_EQ(snapshot.counters[0].value, expected);
+  EXPECT_NE(snapshot.ToPrometheus().find("anatomy_sharded_count " +
+                                         std::to_string(expected) + "\n"),
+            std::string::npos);
+
+  registry.ResetAll();
+  EXPECT_EQ(counter->value(), 0u);
+  EXPECT_EQ(registry.Snapshot().counters[0].value, 0u);
+  counter->Increment(7);
+  counter->Reset();
+  EXPECT_EQ(counter->value(), 0u);
 }
 
 // ------------------------------------------------------------------- Gauge --

@@ -1,6 +1,8 @@
 // Analyst-side publication loading (AnatomizedTables::FromPublishedTables),
-// the CSV round trip of a full publication, and the extra l-diversity
-// instantiations (entropy l-diversity).
+// the CSV round trip of a full publication, the on-disk manifest checks
+// (LoadPublication geometry, VerifyPublication group ids, the streaming
+// record reader), and the extra l-diversity instantiations (entropy
+// l-diversity).
 
 #include <sstream>
 
@@ -14,6 +16,10 @@
 #include "privacy/ldiversity.h"
 #include "query/anatomy_estimator.h"
 #include "query/exact_evaluator.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_file.h"
+#include "storage/publication.h"
+#include "storage/simulated_disk.h"
 #include "table/csv.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -128,6 +134,215 @@ TEST(PublishedTablesTest, RejectsInconsistentPublications) {
     const Table bare = original.qit().ProjectColumns({0, 1, 2});
     EXPECT_FALSE(
         AnatomizedTables::FromPublishedTables(bare, original.st()).ok());
+  }
+}
+
+// ------------------------------------------------- on-disk publication --
+
+using Records = std::vector<std::vector<int32_t>>;
+
+/// Commits hand-written QIT and ST records as a publication on `disk`.
+StorageManifest CommitRecords(SimulatedDisk& disk, const Records& qit,
+                              const Records& st, int32_t l) {
+  BufferPool pool(&disk);
+  RecordFile qit_file(&disk, qit.front().size());
+  RecordFile st_file(&disk, st.front().size());
+  {
+    RecordWriter writer(&pool, &qit_file);
+    for (const auto& rec : qit) ANATOMY_CHECK_OK(writer.Append(rec));
+  }
+  {
+    RecordWriter writer(&pool, &st_file);
+    for (const auto& rec : st) ANATOMY_CHECK_OK(writer.Append(rec));
+  }
+  ANATOMY_CHECK_OK(pool.FlushAll());
+  auto manifest = CommitPublication(&disk, qit_file, st_file, l);
+  ANATOMY_CHECK_OK(manifest.status());
+  return std::move(manifest).value();
+}
+
+/// Two groups of two tuples over one QI: QIT [qi, group], ST [group, value,
+/// count]. 2-diverse.
+StorageManifest CommitSmallPublication(SimulatedDisk& disk) {
+  return CommitRecords(disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}},
+                       {{0, 1, 1}, {0, 2, 1}, {1, 1, 1}, {1, 3, 1}}, 2);
+}
+
+/// Rewrites int32 slot `slot` of the manifest root; the disk re-seals the
+/// checksum, so only the manifest's own checks can catch the change.
+void PatchRootSlot(SimulatedDisk& disk, PageId root, size_t slot,
+                   int32_t value) {
+  Page page;
+  ANATOMY_CHECK_OK(disk.ReadPage(root, page));
+  page.WriteInt32(slot * sizeof(int32_t), value);
+  ANATOMY_CHECK_OK(disk.WritePage(root, page));
+}
+
+// Root slots: [5] QIT fields, [6] ST fields, [7..8] QIT records (lo, hi),
+// [9..10] ST records (lo, hi).
+constexpr size_t kQitFieldsSlot = 5;
+constexpr size_t kStFieldsSlot = 6;
+constexpr size_t kQitRecordsHiSlot = 8;
+constexpr size_t kStRecordsHiSlot = 10;
+
+TEST(StoredPublicationTest, ConsistentPublicationLoadsAndVerifies) {
+  SimulatedDisk disk;
+  const StorageManifest manifest = CommitSmallPublication(disk);
+  auto loaded = LoadPublication(&disk, manifest.root);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().qit.records, 4u);
+  EXPECT_EQ(loaded.value().st.records, 4u);
+  EXPECT_TRUE(VerifyPublication(&disk, manifest).ok());
+
+  auto qit = testing_util::ReadPublishedRecords(&disk, loaded.value().qit);
+  ASSERT_TRUE(qit.ok()) << qit.status().ToString();
+  EXPECT_EQ(qit.value(), (Records{{3, 0}, {5, 0}, {7, 1}, {9, 1}}));
+}
+
+TEST(StoredPublicationTest, LoadRejectsRecordCountBeyondListedPages) {
+  // 2^44 records over one page: accepting it would let a reader size
+  // buffers from the count before reading a single page.
+  for (size_t slot : {kQitRecordsHiSlot, kStRecordsHiSlot}) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitSmallPublication(disk);
+    PatchRootSlot(disk, manifest.root, slot, 1 << 12);
+    EXPECT_EQ(LoadPublication(&disk, manifest.root).status().code(),
+              StatusCode::kDataLoss);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(StoredPublicationTest, LoadRejectsZeroWidthRecords) {
+  for (size_t slot : {kQitFieldsSlot, kStFieldsSlot}) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitSmallPublication(disk);
+    PatchRootSlot(disk, manifest.root, slot, 0);
+    EXPECT_EQ(LoadPublication(&disk, manifest.root).status().code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(StoredPublicationTest, LoadRejectsRecordsWiderThanAPage) {
+  // 1024 int32 fields need 4096 bytes; a page holds 4092 after its header.
+  for (size_t slot : {kQitFieldsSlot, kStFieldsSlot}) {
+    for (int32_t fields : {1024, -1}) {
+      SCOPED_TRACE("slot " + std::to_string(slot) + " fields " +
+                   std::to_string(fields));
+      SimulatedDisk disk;
+      const StorageManifest manifest = CommitSmallPublication(disk);
+      PatchRootSlot(disk, manifest.root, slot, fields);
+      EXPECT_EQ(LoadPublication(&disk, manifest.root).status().code(),
+                StatusCode::kDataLoss);
+    }
+  }
+}
+
+TEST(StoredPublicationTest, ReaderChecksTheCountBeforeReading) {
+  // A hand-built meta never went through LoadPublication: the reader runs
+  // the same geometry checks itself and reads nothing.
+  SimulatedDisk disk;
+  const StorageManifest manifest = CommitSmallPublication(disk);
+  PublishedFileMeta meta = manifest.qit;
+  meta.records = uint64_t{1} << 44;
+  PublishedRecordReader reader(&disk, meta);
+  EXPECT_FALSE(reader.Next());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+
+  // A count the pages could hold but do not: the shortfall surfaces at the
+  // end of the file.
+  meta.records = 5;
+  PublishedRecordReader short_reader(&disk, meta);
+  size_t seen = 0;
+  while (short_reader.Next()) ++seen;
+  EXPECT_EQ(seen, 4u);
+  EXPECT_EQ(short_reader.status().code(), StatusCode::kDataLoss);
+
+  // Fewer records claimed than stored: caught before the extra ones are
+  // handed out.
+  meta.records = 3;
+  PublishedRecordReader long_reader(&disk, meta);
+  EXPECT_FALSE(long_reader.Next());
+  EXPECT_EQ(long_reader.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(StoredPublicationTest, VerifyRejectsOutOfRangeGroupIds) {
+  const Records st = {{0, 1, 1}, {0, 2, 1}, {1, 1, 1}, {1, 3, 1}};
+  // Group id 4 in a 4-record QIT: outside [0, 4).
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest =
+        CommitRecords(disk, {{3, 0}, {5, 0}, {7, 1}, {9, 4}}, st, 2);
+    const Status status = VerifyPublication(&disk, manifest);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(status.message().find("outside"), std::string::npos)
+        << status.ToString();
+  }
+  // A negative group id.
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest =
+        CommitRecords(disk, {{3, 0}, {5, 0}, {7, -1}, {9, 1}}, st, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // An ST group id past the QIT's record count.
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitRecords(
+        disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}},
+        {{0, 1, 1}, {0, 2, 1}, {1, 1, 1}, {1, 3, 1}, {1 << 30, 4, 1}}, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
+TEST(StoredPublicationTest, VerifyKeepsEveryConsistencyCheck) {
+  // ST count sum differs from the QIT group size.
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitRecords(
+        disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}},
+        {{0, 1, 1}, {0, 2, 2}, {1, 1, 1}, {1, 3, 1}}, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // A QIT group absent from the ST (and the group sets differ).
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitRecords(
+        disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}}, {{0, 1, 1}, {0, 2, 1}}, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // Same number of groups, but not the same groups.
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitRecords(
+        disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}},
+        {{0, 1, 1}, {0, 2, 1}, {2, 1, 1}, {2, 3, 1}}, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // A non-positive ST count.
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitRecords(
+        disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}},
+        {{0, 1, 1}, {0, 2, 1}, {1, 1, 2}, {1, 3, 0}}, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  // A group whose most frequent value breaks the claimed l-diversity.
+  {
+    SimulatedDisk disk;
+    const StorageManifest manifest = CommitRecords(
+        disk, {{3, 0}, {5, 0}, {7, 1}, {9, 1}},
+        {{0, 1, 1}, {0, 2, 1}, {1, 1, 2}}, 2);
+    EXPECT_EQ(VerifyPublication(&disk, manifest).code(),
+              StatusCode::kFailedPrecondition);
   }
 }
 

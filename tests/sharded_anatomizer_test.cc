@@ -194,36 +194,6 @@ TEST(ShardedAnatomizerTest, RejectsZeroShards) {
   EXPECT_EQ(sharded.Run(md).status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedAnatomizerTest, ArenaToggleIsByteIdentical) {
-  // The arena only changes where the anatomizer's scratch lives (buckets,
-  // counts, residue sets); the published partition must be byte-identical
-  // with it on and off — both the sequential and the sharded pipelines.
-  const Microdata md = MakeRoundRobinMicrodata(2000, 64, 16);
-  const bool arena_before = arena::Enabled();
-
-  uint64_t sequential_digest = 0;
-  uint64_t sharded_digest = 0;
-  for (int arena_on = 1; arena_on >= 0; --arena_on) {
-    arena::SetEnabled(arena_on != 0);
-    Anatomizer sequential(AnatomizerOptions{.l = 5, .seed = 321});
-    auto partition = sequential.ComputePartition(md);
-    ASSERT_TRUE(partition.ok());
-    ShardedAnatomizer sharded(
-        {.l = 5, .seed = 321, .shards = 4, .num_threads = 2});
-    auto result = sharded.Run(md);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    if (arena_on != 0) {
-      sequential_digest = PartitionDigest(*partition);
-      sharded_digest = PartitionDigest(result.value().partition);
-    } else {
-      EXPECT_EQ(PartitionDigest(*partition), sequential_digest);
-      EXPECT_EQ(PartitionDigest(result.value().partition), sharded_digest);
-    }
-  }
-
-  arena::SetEnabled(arena_before);
-}
-
 // -------------------------------------------- ShardedExternalAnatomizer --
 
 TEST(ShardedExternalAnatomizerTest, SingleShardMatchesSequentialPipeline) {

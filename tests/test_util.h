@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "query/predicate.h"
+#include "storage/publication.h"
 #include "table/schema.h"
 #include "table/table.h"
 
@@ -51,6 +53,18 @@ inline AttributePredicate RangePredicate(size_t qi_index, Code lo, Code hi) {
   std::vector<Code> values;
   for (Code v = lo; v <= hi; ++v) values.push_back(v);
   return AttributePredicate(qi_index, std::move(values));
+}
+
+/// Every record of one published file, one vector each.
+inline StatusOr<std::vector<std::vector<int32_t>>> ReadPublishedRecords(
+    Disk* disk, const PublishedFileMeta& meta) {
+  std::vector<std::vector<int32_t>> records;
+  PublishedRecordReader reader(disk, meta);
+  while (reader.Next()) {
+    records.emplace_back(reader.record().begin(), reader.record().end());
+  }
+  ANATOMY_RETURN_IF_ERROR(reader.status());
+  return records;
 }
 
 }  // namespace testing_util

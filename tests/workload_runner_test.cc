@@ -6,7 +6,6 @@
 #include "data/dataset.h"
 #include "generalization/generalized_table.h"
 #include "generalization/mondrian.h"
-#include "workload/republication.h"
 #include "workload/runner.h"
 
 namespace anatomy {
@@ -108,145 +107,6 @@ TEST(WorkloadRunnerTest, TemplateVariantMatchesPairRunner) {
       [&](const CountQuery& q) { return estimator.Estimate(q); });
   ASSERT_TRUE(anatomy_only.ok());
   EXPECT_NEAR(anatomy_only.value(), both.value().anatomy_error, 1e-12);
-}
-
-TEST(RepublicationTest, ShardedEpochsStayWithinQualityBound) {
-  const PublishedPair pair = Publish(4000, 3, 10, 7);
-  RepublicationOptions options;
-  options.epochs = 3;
-  options.l = 10;
-  options.shards = 4;
-  options.num_threads = 2;
-  options.seed = 7;
-  options.workload.qd = 2;
-  options.workload.s = 0.08;
-  options.workload.num_queries = 25;
-  auto result = RunRepublication(pair.microdata, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result.value().epochs.size(), 3u);
-  uint64_t previous_seed = 0;
-  for (const RepublicationEpoch& epoch : result.value().epochs) {
-    EXPECT_NE(epoch.anatomize_seed, previous_seed);
-    previous_seed = epoch.anatomize_seed;
-    EXPECT_EQ(epoch.shards_run, 4u);
-    EXPECT_GT(epoch.num_groups, 0u);
-    EXPECT_GT(epoch.rce, 0.0);
-    EXPECT_LE(epoch.rce, epoch.rce_bound);
-    EXPECT_EQ(epoch.queries_evaluated, 25u);
-    EXPECT_GE(epoch.anatomy_error, 0.0);
-  }
-  EXPECT_GE(result.value().mean_anatomy_error, 0.0);
-}
-
-TEST(RepublicationTest, DeterministicAcrossThreadCounts) {
-  const PublishedPair pair = Publish(3000, 3, 10, 13);
-  RepublicationOptions options;
-  options.epochs = 2;
-  options.l = 10;
-  options.shards = 4;
-  options.seed = 5;
-  options.workload.qd = 2;
-  options.workload.s = 0.08;
-  options.workload.num_queries = 20;
-  options.num_threads = 1;
-  auto serial = RunRepublication(pair.microdata, options);
-  options.num_threads = 4;
-  auto parallel = RunRepublication(pair.microdata, options);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_EQ(serial.value().epochs.size(), parallel.value().epochs.size());
-  for (size_t e = 0; e < serial.value().epochs.size(); ++e) {
-    EXPECT_EQ(serial.value().epochs[e].num_groups,
-              parallel.value().epochs[e].num_groups);
-    EXPECT_DOUBLE_EQ(serial.value().epochs[e].rce,
-                     parallel.value().epochs[e].rce);
-    EXPECT_DOUBLE_EQ(serial.value().epochs[e].anatomy_error,
-                     parallel.value().epochs[e].anatomy_error);
-  }
-  EXPECT_DOUBLE_EQ(serial.value().mean_anatomy_error,
-                   parallel.value().mean_anatomy_error);
-}
-
-TEST(RepublicationTest, CowOverlapAccountingHoldsPerEpoch) {
-  const PublishedPair pair = Publish(4000, 3, 10, 11);
-  RepublicationOptions options;
-  options.epochs = 4;
-  options.l = 10;
-  options.shards = 2;
-  options.num_threads = 2;
-  options.seed = 11;
-  options.workload.qd = 2;
-  options.workload.s = 0.08;
-  options.workload.num_queries = 40;
-  auto result = RunRepublication(pair.microdata, options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const RepublicationResult& r = result.value();
-  ASSERT_EQ(r.epochs.size(), 4u);
-
-  // Epoch 0 has no prior serving to hide behind: fully exposed.
-  EXPECT_EQ(r.epochs[0].overlap_ns, 0u);
-  EXPECT_EQ(r.epochs[0].exposed_rebuild_ns, r.epochs[0].rebuild_ns);
-
-  uint64_t sum_rebuild = 0, sum_serve = 0, sum_overlap = 0, sum_exposed = 0;
-  for (const RepublicationEpoch& epoch : r.epochs) {
-    EXPECT_GT(epoch.rebuild_ns, 0u);
-    EXPECT_GT(epoch.serve_ns, 0u);
-    // The overlap window is the part of the rebuild hidden behind the
-    // previous epoch's serving — never more than the rebuild itself, and
-    // the exposed remainder must account for the rest exactly.
-    EXPECT_LE(epoch.overlap_ns, epoch.rebuild_ns);
-    EXPECT_EQ(epoch.exposed_rebuild_ns + epoch.overlap_ns, epoch.rebuild_ns);
-    sum_rebuild += epoch.rebuild_ns;
-    sum_serve += epoch.serve_ns;
-    sum_overlap += epoch.overlap_ns;
-    sum_exposed += epoch.exposed_rebuild_ns;
-  }
-  EXPECT_EQ(r.total_rebuild_ns, sum_rebuild);
-  EXPECT_EQ(r.total_serve_ns, sum_serve);
-  EXPECT_EQ(r.total_overlap_ns, sum_overlap);
-  EXPECT_EQ(r.total_exposed_rebuild_ns, sum_exposed);
-  // The run-level identity the old stop-the-world loop could not satisfy:
-  // the query tier waits for strictly less than the full rebuild time
-  // whenever any overlap was achieved, never more.
-  EXPECT_EQ(r.total_exposed_rebuild_ns + r.total_overlap_ns,
-            r.total_rebuild_ns);
-}
-
-TEST(RepublicationTest, CowTimingDoesNotPerturbResults) {
-  // Same run twice: wall-clock fields may differ, every result field must
-  // be bit-identical (the rebuild thread only READS the microdata).
-  const PublishedPair pair = Publish(3000, 3, 10, 17);
-  RepublicationOptions options;
-  options.epochs = 3;
-  options.l = 10;
-  options.shards = 2;
-  options.num_threads = 2;
-  options.seed = 9;
-  options.workload.qd = 2;
-  options.workload.s = 0.08;
-  options.workload.num_queries = 20;
-  auto first = RunRepublication(pair.microdata, options);
-  auto second = RunRepublication(pair.microdata, options);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ASSERT_EQ(first.value().epochs.size(), second.value().epochs.size());
-  for (size_t e = 0; e < first.value().epochs.size(); ++e) {
-    const RepublicationEpoch& a = first.value().epochs[e];
-    const RepublicationEpoch& b = second.value().epochs[e];
-    EXPECT_EQ(a.anatomize_seed, b.anatomize_seed);
-    EXPECT_EQ(a.num_groups, b.num_groups);
-    EXPECT_DOUBLE_EQ(a.rce, b.rce);
-    EXPECT_DOUBLE_EQ(a.anatomy_error, b.anatomy_error);
-  }
-  EXPECT_DOUBLE_EQ(first.value().mean_anatomy_error,
-                   second.value().mean_anatomy_error);
-}
-
-TEST(RepublicationTest, RejectsZeroEpochs) {
-  const PublishedPair pair = Publish(500, 3, 10, 2);
-  RepublicationOptions options;
-  options.epochs = 0;
-  EXPECT_FALSE(RunRepublication(pair.microdata, options).ok());
 }
 
 }  // namespace

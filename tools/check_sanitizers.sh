@@ -99,9 +99,9 @@ if [[ $# -ge 1 ]]; then
       # The memory-substrate smoke check: arena_test's 8-thread hammer gives
       # TSan the concurrent alloc/free traffic and its poison-on-free death
       # test only fires under ASan (it self-skips elsewhere);
-      # query_kernels_test and sharded_anatomizer_test run the arena-on/off
-      # bit-identity sweeps over the migrated hot structures.
-      extra=(-R '^(arena_test|query_kernels_test|sharded_anatomizer_test)$')
+      # query_kernels_test runs the arena-on/off bit-identity sweep over the
+      # query structures that live on the arena.
+      extra=(-R '^(arena_test|query_kernels_test)$')
       shift
       ;;
     serve)
