@@ -12,9 +12,9 @@
 // queries/s, rows/s, speedup vs the same path at 1 thread, and the p50/p99
 // of the `query.latency_ns` histogram for exactly that run (the histogram
 // is reset before each timed section). The artifact records
-// "hardware_threads" and the active SIMD tier; on hosts with >= 8 hardware
-// threads the bench additionally enforces >= 3x COUNT throughput at 8
-// threads vs 1 (kernel+cache path) and exits nonzero below that — on
+// "hardware_threads"; on hosts with >= 8 hardware threads the bench
+// additionally enforces >= 3x COUNT throughput at 8 threads vs 1
+// (kernel+cache path) and exits nonzero below that — on
 // smaller hosts the gate is skipped with a loud warning, because
 // multi-threaded rows there measure oversubscription, not scaling.
 
@@ -36,7 +36,6 @@
 #include "obs/metrics.h"
 #include "query/aggregate.h"
 #include "query/anatomy_estimator.h"
-#include "query/simd.h"
 #include "workload/parallel_runner.h"
 #include "workload/workload.h"
 
@@ -377,12 +376,11 @@ void Run(const KernelBenchConfig& config) {
 
   std::printf(
       "Query kernels: %lld queries (x%lld replays), n = %lld, OCC-5, "
-      "qd = %lld, s = %g, %s predicates, %u hardware threads, SIMD tier %s\n",
+      "qd = %lld, s = %g, %s predicates, %u hardware threads\n",
       static_cast<long long>(config.queries),
       static_cast<long long>(config.replays), static_cast<long long>(config.n),
       static_cast<long long>(config.qd), config.s,
-      config.range_predicates ? "range" : "point", hardware_threads,
-      simd::TierName(simd::ActiveTier()));
+      config.range_predicates ? "range" : "point", hardware_threads);
   printer.Print();
 
   // ---- Thread-scaling gate: only meaningful when the cores exist. ----
@@ -466,14 +464,13 @@ void Run(const KernelBenchConfig& config) {
                   "  \"n\": %lld,\n  \"queries\": %lld,\n  \"qd\": %lld,\n"
                   "  \"s\": %g,\n  \"l\": %lld,\n  \"replays\": %lld,\n"
                   "  \"range_predicates\": %s,\n"
-                  "  \"hardware_threads\": %u,\n  \"simd_tier\": \"%s\",\n",
+                  "  \"hardware_threads\": %u,\n",
                   static_cast<long long>(config.n),
                   static_cast<long long>(config.queries),
                   static_cast<long long>(config.qd), config.s,
                   static_cast<long long>(config.l),
                   static_cast<long long>(config.replays),
-                  config.range_predicates ? "true" : "false", hardware_threads,
-                  simd::TierName(simd::ActiveTier()));
+                  config.range_predicates ? "true" : "false", hardware_threads);
     os << buf;
     // Thread-scaling ratios measured with fewer hardware threads than worker
     // threads are contention artifacts, not speedups. Publish null + an

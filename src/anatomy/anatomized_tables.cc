@@ -141,6 +141,31 @@ size_t AnatomizedTables::TotalStRecords() const {
   return total;
 }
 
+Status CheckGroupLDiversity(
+    const std::vector<std::pair<Code, uint32_t>>& histogram, uint64_t size,
+    int l, GroupId g) {
+  uint64_t max_count = 0;
+  for (const auto& [value, count] : histogram) {
+    max_count = std::max<uint64_t>(max_count, count);
+  }
+  if (max_count * static_cast<uint64_t>(l) > size) {
+    return Status::FailedPrecondition(
+        "group " + std::to_string(g + 1) + " violates " + std::to_string(l) +
+        "-diversity (" + std::to_string(max_count) + "/" +
+        std::to_string(size) + ")");
+  }
+  return Status::OK();
+}
+
+Status VerifyLDiversity(const AnatomizedTables& tables, int l) {
+  if (l < 1) return Status::InvalidArgument("l must be >= 1");
+  for (GroupId g = 0; g < tables.num_groups(); ++g) {
+    ANATOMY_RETURN_IF_ERROR(CheckGroupLDiversity(tables.group_histogram(g),
+                                                 tables.group_size(g), l, g));
+  }
+  return Status::OK();
+}
+
 Status AppendPublishedFile(Disk* disk, const PublishedFileMeta& meta,
                            const RetryPolicy& retry, size_t gid_field,
                            GroupId gid_offset, Table& table) {

@@ -71,6 +71,17 @@ class AnatomizedTables {
   std::vector<std::vector<std::pair<Code, uint32_t>>> group_histograms_;
 };
 
+/// Inequality 1 for group g: no sensitive value makes up more than 1/l of
+/// the group's `size` tuples. FailedPrecondition naming the group (1-based)
+/// otherwise. The one l-diversity check: VerifyLDiversity, the bundle
+/// writer and reader, and privacy/ldiversity's verifiers all use it.
+Status CheckGroupLDiversity(
+    const std::vector<std::pair<Code, uint32_t>>& histogram, uint64_t size,
+    int l, GroupId g);
+
+/// CheckGroupLDiversity over every group; InvalidArgument when l < 1.
+Status VerifyLDiversity(const AnatomizedTables& tables, int l);
+
 /// Appends every record of one published file (a QIT or an ST on disk) to
 /// `table` as a row, streaming page by page, with `gid_offset` added to
 /// field `gid_field` (the record's group id). Returns FailedPrecondition

@@ -13,25 +13,6 @@ namespace anatomy {
 
 namespace {
 
-/// Inequality 1 over every group (duplicated from privacy/ldiversity.h to
-/// keep the core library free of an upward dependency; the privacy module's
-/// verifier remains the API of record).
-Status CheckDiversity(const AnatomizedTables& tables, int l) {
-  if (l < 1) return Status::InvalidArgument("l must be >= 1");
-  for (GroupId g = 0; g < tables.num_groups(); ++g) {
-    uint64_t max_count = 0;
-    for (const auto& [value, count] : tables.group_histogram(g)) {
-      max_count = std::max<uint64_t>(max_count, count);
-    }
-    if (max_count * static_cast<uint64_t>(l) > tables.group_size(g)) {
-      return Status::FailedPrecondition(
-          "group " + std::to_string(g + 1) + " is not " + std::to_string(l) +
-          "-diverse");
-    }
-  }
-  return Status::OK();
-}
-
 constexpr char kQitSchemaFile[] = "/qit_schema.txt";
 constexpr char kStSchemaFile[] = "/st_schema.txt";
 constexpr char kQitFile[] = "/qit.csv";
@@ -113,7 +94,7 @@ StatusOr<PublicationManifest> ParseManifest(const std::string& text) {
 Status WritePublicationBundle(const AnatomizedTables& tables, int l,
                               const std::string& dir) {
   // Never ship a publication weaker than it claims to be.
-  ANATOMY_RETURN_IF_ERROR(CheckDiversity(tables, l));
+  ANATOMY_RETURN_IF_ERROR(VerifyLDiversity(tables, l));
 
   ANATOMY_RETURN_IF_ERROR(
       WriteSchemaFile(tables.qit().schema(), dir + kQitSchemaFile));
@@ -159,7 +140,7 @@ StatusOr<LoadedPublication> ReadPublicationBundle(const std::string& dir) {
     return Status::InvalidArgument("manifest group count mismatch");
   }
   // The privacy claim is re-verified, not trusted.
-  ANATOMY_RETURN_IF_ERROR(CheckDiversity(tables, manifest.l));
+  ANATOMY_RETURN_IF_ERROR(VerifyLDiversity(tables, manifest.l));
 
   LoadedPublication loaded{std::move(tables), manifest};
   return loaded;

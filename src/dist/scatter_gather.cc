@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -37,26 +38,6 @@ size_t ComputeWorkers(size_t nodes) {
 }
 
 }  // namespace
-
-CanonicalFoldResult CanonicalFold(
-    std::span<const AnatomyQueryEngine::GroupAggregatePartial> partials) {
-  std::vector<AnatomyQueryEngine::GroupAggregatePartial> by_size(
-      partials.begin(), partials.end());
-  std::sort(by_size.begin(), by_size.end(),
-            [](const auto& a, const auto& b) { return a.size < b.size; });
-  CanonicalFoldResult r;
-  for (size_t i = 0; i < by_size.size();) {
-    AnatomyQueryEngine::GroupAggregatePartial total = by_size[i];
-    for (++i; i < by_size.size() && by_size[i].size == total.size; ++i) {
-      total.mass_match += by_size[i].mass_match;
-      total.mass_value += by_size[i].mass_value;
-    }
-    const double size = static_cast<double>(total.size);
-    r.count += static_cast<double>(total.mass_match) / size;
-    r.sum += static_cast<double>(total.mass_value) / size;
-  }
-  return r;
-}
 
 ScatterGatherEstimator::ScatterGatherEstimator(DistCluster* cluster,
                                                const DistQueryOptions& options)
@@ -192,8 +173,16 @@ StatusOr<PartialEstimate> ScatterGatherEstimator::Estimate(
         "SUM and COUNT separately");
   }
   const bool need_sum = query.kind == AggregateKind::kSum;
-  if (need_sum && query.measure_qi >= cluster_->qi_defs().size()) {
+  const size_t d = cluster_->qi_defs().size();
+  if (need_sum && query.measure_qi >= d) {
     return Status::InvalidArgument("measure QI index out of range");
+  }
+  for (const AttributePredicate& pred : query.predicates.qi_predicates) {
+    if (pred.qi_index() >= d) {
+      return Status::InvalidArgument(
+          "predicate on QI index " + std::to_string(pred.qi_index()) +
+          " of a publication with " + std::to_string(d) + " QI attributes");
+    }
   }
   Rng rng = Rng::ForStream(options_.seed, query_index_++);
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();

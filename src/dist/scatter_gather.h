@@ -35,7 +35,6 @@
 #define ANATOMY_DIST_SCATTER_GATHER_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -106,18 +105,6 @@ struct PartialEstimate {
   uint64_t retries = 0;
 };
 
-/// The one true merge: adds N_s and V_s per group size (exact integers),
-/// then divides once per size in ascending s, with one accumulator per
-/// aggregate. The integer sums do not depend on the order or grouping of
-/// `partials`, so every node count, merge order and chunking gives the same
-/// bits (asserted in tests/query_kernels_test.cc and tests/dist_test.cc).
-struct CanonicalFoldResult {
-  double count = 0.0;
-  double sum = 0.0;
-};
-CanonicalFoldResult CanonicalFold(
-    std::span<const AnatomyQueryEngine::GroupAggregatePartial> partials);
-
 class ScatterGatherEstimator {
  public:
   /// `cluster` must outlive the estimator. Starts the node-compute
@@ -127,9 +114,11 @@ class ScatterGatherEstimator {
                          const DistQueryOptions& options = {});
 
   /// COUNT or SUM (kAvg is rejected: it does not decompose into per-node
-  /// partial aggregates without changing the float schedule). Returns a
-  /// clean kUnavailable error when no node responds, otherwise an
-  /// honestly-labeled estimate per the ladder above.
+  /// partial aggregates without changing the float schedule). A predicate
+  /// or measure on a column the publication lacks is kInvalidArgument,
+  /// before any node is asked. Returns a clean kUnavailable error when no
+  /// node responds, otherwise an honestly-labeled estimate per the ladder
+  /// above; the merge is CanonicalFold (query/group_kernels.h).
   StatusOr<PartialEstimate> Estimate(const AggregateQuery& query);
 
   /// The hedge delay the next query would use (exposed for tests).

@@ -5,39 +5,16 @@
 
 namespace anatomy {
 
-namespace {
-
-Status CheckHistogram(const std::vector<std::pair<Code, uint32_t>>& histogram,
-                      uint64_t group_size, int l, GroupId g) {
-  uint64_t max_count = 0;
-  for (const auto& [value, count] : histogram) {
-    max_count = std::max<uint64_t>(max_count, count);
-  }
-  if (max_count * static_cast<uint64_t>(l) > group_size) {
-    return Status::FailedPrecondition(
-        "group " + std::to_string(g + 1) + " violates " + std::to_string(l) +
-        "-diversity (" + std::to_string(max_count) + "/" +
-        std::to_string(group_size) + ")");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status VerifyAnatomizedLDiversity(const AnatomizedTables& tables, int l) {
-  if (l < 1) return Status::InvalidArgument("l must be >= 1");
-  for (GroupId g = 0; g < tables.num_groups(); ++g) {
-    ANATOMY_RETURN_IF_ERROR(
-        CheckHistogram(tables.group_histogram(g), tables.group_size(g), l, g));
-  }
-  return Status::OK();
+  return VerifyLDiversity(tables, l);
 }
 
 Status VerifyGeneralizedLDiversity(const GeneralizedTable& table, int l) {
   if (l < 1) return Status::InvalidArgument("l must be >= 1");
   for (GroupId g = 0; g < table.num_groups(); ++g) {
     ANATOMY_RETURN_IF_ERROR(
-        CheckHistogram(table.group(g).histogram, table.group(g).size, l, g));
+        CheckGroupLDiversity(table.group(g).histogram, table.group(g).size, l,
+                             g));
   }
   return Status::OK();
 }

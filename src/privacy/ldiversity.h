@@ -13,10 +13,13 @@
 
 namespace anatomy {
 
-/// OK iff every group of the anatomized publication satisfies Inequality 1.
+/// OK iff every group of the anatomized publication satisfies Inequality 1:
+/// the anatomy core's VerifyLDiversity (anatomy/anatomized_tables.h), which
+/// the bundle writer and reader run too.
 Status VerifyAnatomizedLDiversity(const AnatomizedTables& tables, int l);
 
-/// OK iff every group of the generalized publication satisfies Inequality 1.
+/// OK iff every group of the generalized publication satisfies Inequality 1
+/// (CheckGroupLDiversity per group).
 Status VerifyGeneralizedLDiversity(const GeneralizedTable& table, int l);
 
 /// Recursive (c, l)-diversity of one group histogram: with counts sorted

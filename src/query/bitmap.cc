@@ -167,7 +167,11 @@ void Bitmap::BuildSummary() {
 
 uint64_t Bitmap::Count() const {
   if (summary_ok_) return popcount_;
-  return simd::CountWords(words_.data(), words_.size());
+  uint64_t count = 0;
+  for (const uint64_t w : words_) {
+    count += static_cast<uint64_t>(std::popcount(w));
+  }
+  return count;
 }
 
 }  // namespace anatomy

@@ -1,6 +1,5 @@
-// Fixed-size bitmaps used by the bitmap index and the exact evaluator, plus
-// the word-level kernels behind the group-clustered query path: ranged
-// popcounts with partial-word masks, a fused AND+popcount, the AND-NOT
+// Fixed-size bitmaps used by the bitmap index, the predicate cache, the
+// exact evaluator and the scalar reference estimator: the AND-NOT
 // combinators the prefix-OR index is built from, and template set-bit
 // iteration that inlines its callback (no std::function, no virtual
 // dispatch on the hot path).
@@ -8,13 +7,14 @@
 // Word storage routes through the arena allocator (DESIGN.md §11), and a
 // bitmap can carry a word-occupancy summary: a HierBitset with one bit per
 // 64-bit word (set iff the word is nonzero) plus a cached popcount. The
-// summary is built either fused into AndWith/AssignAnd (the query
-// conjunction path, where the words are streaming through registers anyway)
-// or explicitly via BuildSummary() (the prefix-OR index does this once per
-// predicate bitmap). With a summary, Count() is O(1) and the set-bit walks
-// skip empty 32- and 1024-word runs — the win on low-selectivity predicates
-// where most words are zero. Every result is integer-identical to the plain
-// walk: the summary only elides words that are provably zero.
+// summary is built either fused into AndWith/AssignAnd (the scalar
+// reference's and the exact evaluator's conjunction path, where the words
+// are streaming through registers anyway) or explicitly via BuildSummary()
+// (the index's value bitmaps). With a summary, Count() is O(1) and the
+// set-bit walk skips empty 32- and 1024-word runs — the win on
+// low-selectivity predicates where most words are zero. Every result is
+// integer-identical to the plain walk: the summary only elides words that
+// are provably zero. The block kernel in group_kernels reads no summary.
 
 #ifndef ANATOMY_QUERY_BITMAP_H_
 #define ANATOMY_QUERY_BITMAP_H_
@@ -26,7 +26,6 @@
 
 #include "common/arena.h"
 #include "common/fsa.h"
-#include "query/simd.h"
 
 namespace anatomy {
 
@@ -69,7 +68,7 @@ class Bitmap {
   /// that leaves the bitmap summary-less when summaries are disabled or the
   /// bitmap exceeds HierBitset::kMaxBits words (~2.1M bits). Mutators other
   /// than AndWith/AssignAnd drop the summary; call this again afterwards if
-  /// the bitmap is long-lived (the prefix-OR index does).
+  /// the bitmap is long-lived.
   void BuildSummary();
 
   bool has_summary() const { return summary_ok_; }
@@ -80,87 +79,9 @@ class Bitmap {
   static void SetSummaryEnabled(bool enabled);
   static bool SummaryEnabled();
 
-  /// Number of set bits. O(1) when a summary is valid.
+  /// Number of set bits. O(1) when a summary is valid, else one popcount
+  /// per word.
   uint64_t Count() const;
-
-  /// Number of set bits in the half-open bit range [begin, end); both
-  /// bounds must be <= size(). Partial boundary words are masked, interior
-  /// words are whole-word popcounts.
-  uint64_t CountRange(size_t begin, size_t end) const {
-    if (begin >= end) return 0;
-    const size_t wb = begin >> 6;
-    const size_t we = (end - 1) >> 6;
-    const uint64_t first = kAllOnes << (begin & 63);
-    const uint64_t last = kAllOnes >> (63 - ((end - 1) & 63));
-    if (wb == we) {
-      return static_cast<uint64_t>(
-          std::popcount(words_[wb] & first & last));
-    }
-    uint64_t n = static_cast<uint64_t>(std::popcount(words_[wb] & first)) +
-                 static_cast<uint64_t>(std::popcount(words_[we] & last));
-    const size_t interior = we - wb - 1;
-    if (interior >= kSimdMinWords) {
-      n += simd::CountWords(words_.data() + wb + 1, interior);
-    } else {
-      for (size_t w = wb + 1; w < we; ++w) {
-        n += static_cast<uint64_t>(std::popcount(words_[w]));
-      }
-    }
-    return n;
-  }
-
-  /// Fused kernel: popcount(a & b) over [begin, end) without materializing
-  /// the conjunction. Sizes of a and b must match; bounds as in CountRange.
-  /// This is the per-group COUNT kernel: one call per QI group, zero
-  /// per-row work. When either operand carries a sparse summary, the span
-  /// walks that operand's nonzero words only (a zero word on either side
-  /// zeroes the AND, so skipping it is exact).
-  static uint64_t AndCountRange(const Bitmap& a, const Bitmap& b,
-                                size_t begin, size_t end) {
-    if (begin >= end) return 0;
-    const uint64_t* wa = a.words_.data();
-    const uint64_t* wb_ = b.words_.data();
-    const size_t wb = begin >> 6;
-    const size_t we = (end - 1) >> 6;
-    const uint64_t first = kAllOnes << (begin & 63);
-    const uint64_t last = kAllOnes >> (63 - ((end - 1) & 63));
-    if (wb == we) {
-      return static_cast<uint64_t>(
-          std::popcount(wa[wb] & wb_[wb] & first & last));
-    }
-    if (we - wb + 1 >= kSummaryMinSpanWords) {
-      const Bitmap* s = a.SparseSummarySide();
-      if (const Bitmap* sb = b.SparseSummarySide();
-          sb != nullptr && (s == nullptr || sb->nz_words_ < s->nz_words_)) {
-        s = sb;
-      }
-      if (s != nullptr) {
-        uint64_t n = 0;
-        uint32_t wi = s->occupancy_.NextSet(static_cast<uint32_t>(wb));
-        while (wi != HierBitset::kNpos && wi <= we) {
-          uint64_t w = wa[wi] & wb_[wi];
-          if (wi == wb) w &= first;
-          if (wi == we) w &= last;
-          n += static_cast<uint64_t>(std::popcount(w));
-          if (wi == we) break;
-          wi = s->occupancy_.NextSet(wi + 1);
-        }
-        return n;
-      }
-    }
-    uint64_t n =
-        static_cast<uint64_t>(std::popcount(wa[wb] & wb_[wb] & first)) +
-        static_cast<uint64_t>(std::popcount(wa[we] & wb_[we] & last));
-    const size_t interior = we - wb - 1;
-    if (interior >= kSimdMinWords) {
-      n += simd::AndCountWords(wa + wb + 1, wb_ + wb + 1, interior);
-    } else {
-      for (size_t w = wb + 1; w < we; ++w) {
-        n += static_cast<uint64_t>(std::popcount(wa[w] & wb_[w]));
-      }
-    }
-    return n;
-  }
 
   /// Calls fn(i) for every set bit in ascending order. The callback is a
   /// template parameter so it inlines (the former std::function signature
@@ -188,59 +109,9 @@ class Bitmap {
     }
   }
 
-  /// Calls fn(i) for every set bit in [begin, end), ascending. Bounds must
-  /// be <= size(). The SUM/AVG per-row tail iterates one group's bit range
-  /// this way; spans of at least kSummaryMinSpanWords words use the sparse
-  /// summary when one is valid.
-  template <typename Fn>
-  void ForEachSetBitInRange(size_t begin, size_t end, Fn&& fn) const {
-    if (begin >= end) return;
-    const size_t wb = begin >> 6;
-    const size_t we = (end - 1) >> 6;
-    const uint64_t first = kAllOnes << (begin & 63);
-    const uint64_t last = kAllOnes >> (63 - ((end - 1) & 63));
-    if (we - wb + 1 >= kSummaryMinSpanWords &&
-        SparseSummarySide() != nullptr) {
-      uint32_t wi = occupancy_.NextSet(static_cast<uint32_t>(wb));
-      while (wi != HierBitset::kNpos && wi <= we) {
-        uint64_t w = words_[wi];
-        if (wi == wb) w &= first;
-        if (wi == we) w &= last;
-        while (w != 0) {
-          fn((static_cast<size_t>(wi) << 6) +
-             static_cast<size_t>(std::countr_zero(w)));
-          w &= w - 1;
-        }
-        if (wi == we) break;
-        wi = occupancy_.NextSet(wi + 1);
-      }
-      return;
-    }
-    for (size_t wi = wb; wi <= we; ++wi) {
-      uint64_t w = words_[wi];
-      if (wi == wb) w &= first;
-      if (wi == we) w &= last;
-      while (w != 0) {
-        fn((wi << 6) + static_cast<size_t>(std::countr_zero(w)));
-        w &= w - 1;
-      }
-    }
-  }
-
   const ArenaVector<uint64_t>& words() const { return words_; }
 
  private:
-  static constexpr uint64_t kAllOnes = ~uint64_t{0};
-  /// Interior spans at least this many whole words go through the
-  /// runtime-dispatched SIMD kernels; shorter spans (the common case for
-  /// one l-sized group's bit range) keep the inline scalar loop, which
-  /// beats an out-of-line call at that size. Any split is exact, so the
-  /// threshold can never change a result.
-  static constexpr size_t kSimdMinWords = 8;
-  /// Ranged walks shorter than this many words skip the summary: the
-  /// NextSet descent costs more than scanning a handful of words directly.
-  static constexpr size_t kSummaryMinSpanWords = 8;
-
   /// `this` when it carries a summary sparse enough that occupancy-guided
   /// iteration beats the linear word scan (under half the words nonzero),
   /// else nullptr. At 1% random bit density ~47% of words are nonzero, so

@@ -54,15 +54,12 @@ void BitmapIndex::ValueBitmap(size_t column, Code code, Bitmap& out) const {
 
 void BitmapIndex::PredicateBitmap(size_t column, const AttributePredicate& pred,
                                   Bitmap& out) const {
-  const size_t slot = SlotFor(column);
-  const ArenaVector<Bitmap>& prefix = prefix_[slot];
   out.Reset(num_rows_);
-  pred.ForEachRun(static_cast<Code>(prefix.size()), [&](Code lo, Code hi) {
-    out.OrWithAndNot(prefix[hi], lo > 0 ? &prefix[lo - 1] : nullptr);
+  // No summary: every reader either ANDs the words into a bitmap that
+  // builds its own (AndWith) or reads the words alone (the block kernel).
+  ForEachRunBitmap(column, pred, [&out](const Bitmap& hi, const Bitmap* lo) {
+    out.OrWithAndNot(hi, lo);
   });
-  // Predicate bitmaps survive in the PredCache and feed every downstream
-  // AND / walk, so the one extra pass here amortizes across reuses.
-  out.BuildSummary();
 }
 
 }  // namespace anatomy

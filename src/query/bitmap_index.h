@@ -43,6 +43,19 @@ class BitmapIndex {
   void PredicateBitmap(size_t column, const AttributePredicate& pred,
                        Bitmap& out) const;
 
+  /// Calls fn(hi, lo) for each maximal consecutive-code run [a, b] of
+  /// `pred` on `column`: the run's rows are hi AND NOT *lo, where hi is
+  /// prefix[b] and lo is prefix[a - 1] (null when a = 0). PredicateBitmap
+  /// ORs these; the query kernel reads them word by word instead.
+  template <typename Fn>
+  void ForEachRunBitmap(size_t column, const AttributePredicate& pred,
+                        Fn&& fn) const {
+    const ArenaVector<Bitmap>& prefix = prefix_[SlotFor(column)];
+    pred.ForEachRun(static_cast<Code>(prefix.size()), [&](Code lo, Code hi) {
+      fn(prefix[hi], lo > 0 ? &prefix[lo - 1] : nullptr);
+    });
+  }
+
  private:
   size_t SlotFor(size_t column) const;
 

@@ -21,6 +21,7 @@
 #ifndef ANATOMY_QUERY_ESTIMATOR_SCRATCH_H_
 #define ANATOMY_QUERY_ESTIMATOR_SCRATCH_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -31,62 +32,69 @@
 
 namespace anatomy {
 
+/// The exact contribution of every group of one size s to a COUNT/SUM
+/// estimate: the unit AnatomyQueryEngine returns, a node ships, and
+/// CanonicalFold adds (AnatomyQueryEngine::GroupAggregatePartial names it;
+/// see group_kernels.h). Defined here because the scratch holds a buffer of
+/// them.
+struct SizeClassPartial {
+  /// s = |g| of every group this partial covers.
+  uint32_t size = 0;
+  /// N_s = sum over groups of size s of mass_g * match_g, where mass_g is
+  /// the group's qualifying sensitive mass and match_g its rows matching
+  /// the QI conjunction. Both are at most s, so N_s <= s * n < 2^64.
+  uint64_t mass_match = 0;
+  /// V_s = sum over the same groups of mass_g * (sum of the measure over
+  /// g's matching rows); 0 for COUNT. Measure values are int64, so
+  /// |V_s| <= 2^63 * N_s < 2^127: no schema can overflow it.
+  __int128 mass_value = 0;
+
+  bool operator==(const SizeClassPartial&) const = default;
+};
+
+/// One run of a QI predicate as the query kernel reads it: the rows are
+/// hi AND NOT lo, word by word (lo null: hi alone). A materialized
+/// predicate bitmap is a single run with a null lo.
+struct PredicateRun {
+  const uint64_t* hi = nullptr;
+  const uint64_t* lo = nullptr;
+};
+
 struct EstimatorScratch {
   /// Qualifying sensitive mass per group (S_j accumulator). All-zero
   /// between calls; sized lazily via EnsureGroupMass.
   ArenaVector<double> group_mass;
   /// Groups with nonzero group_mass this call; used to restore the zeros.
   ArenaVector<GroupId> touched_groups;
-  /// Rows matching the conjunction of QI predicates.
+  /// Rows matching the conjunction of QI predicates (scalar reference).
   Bitmap qi_match;
-  /// Workspace for one predicate's bitmap OR.
+  /// Workspace for one predicate's bitmap OR (scalar reference).
   Bitmap pred_bits;
-  /// Dense per-group mass buffer for the group-clustered kernels. Unlike
-  /// group_mass it carries no all-zero invariant: a dense pass assigns
-  /// every entry before reading any, so stale contents are harmless.
+  /// Dense per-group mass buffer for the group-clustered kernel. Unlike
+  /// group_mass it carries no all-zero invariant: every entry is assigned
+  /// before any is read, so stale contents are harmless.
   ArenaVector<uint32_t> group_mass_u32;
-  /// Per-group weight mass_g / |g| for the weighted set-bit walk. Like
-  /// group_mass_u32, fully assigned before use — no invariant.
-  ArenaVector<double> group_weight;
-  /// Per-size-class N_s and V_s accumulators of CollectSizeClassPartials,
-  /// assigned at the start of each call.
+  /// The QI conjunction of one query as the block kernel reads it: the
+  /// runs of predicate p are qi_runs[qi_run_end[p-1] .. qi_run_end[p]).
+  std::vector<PredicateRun> qi_runs;
+  std::vector<uint32_t> qi_run_end;
+  /// Per-size-class N_s and V_s accumulators of the block kernel, assigned
+  /// at the start of each call.
   std::vector<uint64_t> class_mass_match;
   std::vector<__int128> class_mass_value;
+  /// The size-class partials of the last single-node estimate.
+  std::vector<SizeClassPartial> partials;
   /// Predicate-cache leases pinning the bitmaps one call reads; refreshed
   /// at the start of the next call (see PredicateBitmapCache: a lease keeps
   /// its bitmap alive across eviction). A batched call pins every distinct
   /// predicate of the batch here for the batch's duration.
   ArenaVector<std::shared_ptr<const Bitmap>> pred_refs;
-  /// Cache-less batched evaluation materializes each distinct predicate of
-  /// the batch into one of these instead, handed out by NextBatchBitmap.
-  /// The bitmaps (and their word capacity) outlive the batch on purpose:
-  /// an earlier clear()-per-batch here re-allocated every Bitmap each call,
-  /// which was the dominant steady-state churn in the batched path.
-  ArenaVector<std::unique_ptr<Bitmap>> batch_storage;
-  /// Bitmaps of batch_storage handed out since the last ResetBatch().
-  size_t batch_used = 0;
 
   /// Makes group_mass an all-zero vector of `num_groups` entries. A no-op
   /// when the size already matches (the all-zero invariant holds between
   /// calls), so the steady state allocates nothing.
   void EnsureGroupMass(size_t num_groups) {
     if (group_mass.size() != num_groups) group_mass.assign(num_groups, 0.0);
-  }
-
-  /// Recycles batch_storage for a new batch. Pointers from the previous
-  /// batch are invalid after this (the Bitmaps get Reset and re-used).
-  void ResetBatch() { batch_used = 0; }
-
-  /// Hands out the next batch workspace bitmap, Reset to `num_bits`. After
-  /// the first batch at a given shape this allocates nothing: the Bitmap
-  /// object and its word storage are both reused.
-  Bitmap* NextBatchBitmap(size_t num_bits) {
-    if (batch_used == batch_storage.size()) {
-      batch_storage.push_back(std::make_unique<Bitmap>());
-    }
-    Bitmap* bm = batch_storage[batch_used++].get();
-    bm->Reset(num_bits);
-    return bm;
   }
 };
 

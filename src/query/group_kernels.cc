@@ -1,7 +1,10 @@
 #include "query/group_kernels.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <map>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -13,36 +16,55 @@ namespace {
 /// falls back to the sparse postings path for every query.
 constexpr uint64_t kDensePrefixMassLimit = uint64_t{1} << 24;
 
-/// Dense passes touch every group once per run but vectorize; sparse
-/// posting entries cost a cache-hostile scatter each. The factor is the
-/// approximate per-entry cost gap.
-constexpr uint64_t kDenseCostDiscount = 4;
+/// The block kernel's unit: 64 words of the QI conjunction (4096 rows, 512
+/// bytes) stay in L1 while the block's groups read their ranks.
+constexpr size_t kBlockWords = 64;
+constexpr size_t kBlockRows = kBlockWords * 64;
 
-/// Dense-mass queries pick between two exact kernels by selectivity: when
-/// the QI conjunction selects at most this many rows per group on average,
-/// a weighted set-bit walk (one load + one fused add per matching row)
-/// beats the per-group ranged-popcount loop, whose cost is dominated by
-/// one call + serial FP accumulate per group regardless of how few rows
-/// match. The choice depends only on the query, never on thread count,
-/// cache state, or metrics — so results stay bit-identical across all of
-/// those.
-constexpr uint64_t kWalkDensityFactor = 2;
+/// Accumulator copies per size class (see class_slot_).
+constexpr size_t kLanes = 4;
 
-/// Iterates (g, mass_g) over the groups with qualifying sensitive mass,
-/// from whichever representation this query used.
-template <typename Body>
-void ForEachMassGroup(bool dense, GroupId num_groups,
-                      const EstimatorScratch& scratch, Body&& body) {
-  if (dense) {
-    const uint32_t* mass = scratch.group_mass_u32.data();
-    for (GroupId g = 0; g < num_groups; ++g) {
-      if (mass[g] != 0) body(g, static_cast<double>(mass[g]));
-    }
-  } else {
-    for (GroupId g : scratch.touched_groups) {
-      body(g, scratch.group_mass[g]);
-    }
+constexpr uint64_t kAllOnes = ~uint64_t{0};
+
+/// A run without a lower bound subtracts these.
+constexpr uint64_t kZeroWords[kBlockWords] = {};
+
+/// buf[0..nw) = the AND over the predicates in scratch.qi_runs of (the OR
+/// over the predicate's runs of hi & ~lo) for words [w0, w0 + nw): all ones
+/// up to row n without predicates. Returns false when the result is zero,
+/// stopping at the first predicate that makes it so.
+bool AndBlock(const EstimatorScratch& scratch, size_t w0, size_t nw,
+              size_t num_rows, uint64_t* buf) {
+  std::fill_n(buf, nw, kAllOnes);
+  if (w0 + nw == (num_rows + 63) / 64 && (num_rows & 63) != 0) {
+    buf[nw - 1] = (uint64_t{1} << (num_rows & 63)) - 1;
   }
+  const PredicateRun* runs = scratch.qi_runs.data();
+  uint64_t tmp[kBlockWords];
+  size_t begin = 0;
+  for (const uint32_t end : scratch.qi_run_end) {
+    const auto lo_words = [&](size_t r) {
+      return runs[r].lo == nullptr ? kZeroWords : runs[r].lo + w0;
+    };
+    uint64_t any = 0;
+    if (end - begin == 1) {
+      const uint64_t* hi = runs[begin].hi + w0;
+      const uint64_t* lo = lo_words(begin);
+      for (size_t k = 0; k < nw; ++k) any |= buf[k] &= hi[k] & ~lo[k];
+    } else {
+      // Several runs: their OR into tmp first.
+      std::fill_n(tmp, nw, 0);
+      for (size_t r = begin; r < end; ++r) {
+        const uint64_t* hi = runs[r].hi + w0;
+        const uint64_t* lo = lo_words(r);
+        for (size_t k = 0; k < nw; ++k) tmp[k] |= hi[k] & ~lo[k];
+      }
+      for (size_t k = 0; k < nw; ++k) any |= buf[k] &= tmp[k];
+    }
+    if (any == 0) return false;
+    begin = end;
+  }
+  return true;
 }
 
 }  // namespace
@@ -94,54 +116,47 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
     group_start_[g + 1] = group_start_[g] + tables.group_size(g);
   }
   ANATOMY_CHECK(group_start_[m] == n);
-  perm_.resize(n);
-  std::vector<size_t> cursor(group_start_.begin(), group_start_.end() - 1);
+  std::vector<RowId> perm(n);
+  std::vector<RowId> cursor(group_start_.begin(), group_start_.end() - 1);
   for (RowId r = 0; r < n; ++r) {
-    perm_[cursor[tables.group_of_row(r)]++] = r;
+    perm[cursor[tables.group_of_row(r)]++] = r;
   }
-  qit_index_ = std::make_unique<BitmapIndex>(qit, columns, &perm_);
+  qit_index_ = std::make_unique<BitmapIndex>(qit, columns, &perm);
 
-  word_group_base_.assign((static_cast<size_t>(n) + 63) / 64, 0);
-  bit_group_offset_.resize(n);
+  const size_t blocks = (static_cast<size_t>(n) + kBlockRows - 1) / kBlockRows;
+  block_group_.assign(blocks + 1, m);
   for (GroupId g = 0; g < m; ++g) {
-    for (size_t i = group_start_[g]; i < group_start_[g + 1]; ++i) {
-      if ((i & 63) == 0) word_group_base_[i >> 6] = static_cast<uint32_t>(g);
-      bit_group_offset_[i] =
-          static_cast<uint8_t>(g - word_group_base_[i >> 6]);
+    // The blocks whose first row lies in g's range.
+    for (size_t b = (group_start_[g] + kBlockRows - 1) / kBlockRows;
+         b * kBlockRows < group_start_[g + 1]; ++b) {
+      block_group_[b] = g;
     }
   }
 
-  inv_group_size_.resize(m);
-  for (GroupId g = 0; g < m; ++g) {
-    inv_group_size_[g] = 1.0 / static_cast<double>(tables.group_size(g));
-  }
   class_size_.reserve(m);
   for (GroupId g = 0; g < m; ++g) class_size_.push_back(tables.group_size(g));
   std::sort(class_size_.begin(), class_size_.end());
   class_size_.erase(std::unique(class_size_.begin(), class_size_.end()),
                     class_size_.end());
   class_size_.shrink_to_fit();
-  size_class_.resize(m);
+  class_slot_.resize(m);
   for (GroupId g = 0; g < m; ++g) {
-    size_class_[g] = static_cast<uint32_t>(
-        std::lower_bound(class_size_.begin(), class_size_.end(),
-                         tables.group_size(g)) -
-        class_size_.begin());
+    const size_t k = std::lower_bound(class_size_.begin(), class_size_.end(),
+                                      tables.group_size(g)) -
+                     class_size_.begin();
+    class_slot_[g] = static_cast<uint32_t>(k * kLanes + g % kLanes);
   }
-  perm_values_.resize(d);
-  exact_values_.resize(d);
+  perm_codes_.resize(d);
   for (size_t col = 0; col < d; ++col) {
-    const AttributeDef& attr = qit.schema().attribute(col);
-    // Values are monotone in the code, so the two ends bound them all.
-    constexpr int64_t kExact = int64_t{1} << 53;
-    const int64_t lo = IntegerValue(attr, 0);
-    const int64_t hi = IntegerValue(attr, attr.domain_size - 1);
-    exact_values_[col] =
-        lo >= -kExact && lo <= kExact && hi >= -kExact && hi <= kExact;
     const auto& codes = qit.column(col);
-    perm_values_[col].resize(n);
-    for (RowId i = 0; i < n; ++i) {
-      perm_values_[col][i] = NumericValue(attr, codes[perm_[i]]);
+    const auto permute = [&](auto& out) {
+      out.resize(n);
+      for (RowId i = 0; i < n; ++i) out[i] = codes[perm[i]];
+    };
+    if (qit.schema().attribute(col).domain_size <= 1 << 8) {
+      permute(perm_codes_[col].u8);
+    } else {
+      permute(perm_codes_[col].u32);
     }
   }
 
@@ -178,20 +193,6 @@ bool AnatomyQueryEngine::AccumulateSparseMass(const AttributePredicate& spred,
     }
   }
   return !scratch.touched_groups.empty();
-}
-
-bool AnatomyQueryEngine::UseDenseMass(const AttributePredicate& spred) const {
-  if (prefix_mass_.empty()) return false;
-  const uint64_t m = tables_->num_groups();
-  uint64_t sparse_entries = 0;
-  for (Code v : spred.values()) {
-    if (v < 0 || static_cast<size_t>(v) >= postings_.size()) continue;
-    sparse_entries += postings_[v].size();
-  }
-  uint64_t runs = 0;
-  spred.ForEachRun(static_cast<Code>(prefix_mass_.size()),
-                   [&runs](Code, Code) { ++runs; });
-  return runs * m < kDenseCostDiscount * sparse_entries;
 }
 
 void AnatomyQueryEngine::ComputeDenseMass(const AttributePredicate& spred,
@@ -251,81 +252,48 @@ void AnatomyQueryEngine::ComputeGroupMass(const AttributePredicate& spred,
   }
 }
 
-void AnatomyQueryEngine::ComputeDenseWeights(const AttributePredicate& spred,
-                                             EstimatorScratch& scratch) const {
-  const size_t m = tables_->num_groups();
-  scratch.group_weight.resize(m);
-  double* weight = scratch.group_weight.data();
-  const double* inv = inv_group_size_.data();
-  bool first = true;
-  spred.ForEachRun(
-      static_cast<Code>(prefix_mass_.size()), [&](Code lo, Code hi) {
-        const uint32_t* hp = prefix_mass_[hi].data();
-        const uint32_t* lp = lo > 0 ? prefix_mass_[lo - 1].data() : nullptr;
-        if (first) {
-          if (lp == nullptr) {
-            for (size_t g = 0; g < m; ++g) {
-              weight[g] = static_cast<double>(hp[g]) * inv[g];
-            }
-          } else {
-            for (size_t g = 0; g < m; ++g) {
-              weight[g] = static_cast<double>(hp[g] - lp[g]) * inv[g];
-            }
-          }
-          first = false;
-        } else if (lp == nullptr) {
-          for (size_t g = 0; g < m; ++g) {
-            weight[g] += static_cast<double>(hp[g]) * inv[g];
-          }
-        } else {
-          for (size_t g = 0; g < m; ++g) {
-            weight[g] += static_cast<double>(hp[g] - lp[g]) * inv[g];
-          }
-        }
-      });
-  if (first) std::fill_n(weight, m, 0.0);
-}
-
-const Bitmap* AnatomyQueryEngine::OnePredicate(
-    const AttributePredicate& pred, EstimatorScratch& scratch, Bitmap& storage,
+bool AnatomyQueryEngine::CollectPredicateRuns(
+    const std::vector<AttributePredicate>& preds, EstimatorScratch& scratch,
     const PreparedPredicateMap* prepared) const {
-  if (prepared != nullptr) {
-    const uint64_t h = HashPredicateKey(pred.qi_index(), pred.values());
-    const auto it = prepared->find(h);
-    ANATOMY_CHECK(it != prepared->end());
-    for (const PreparedPredicate& p : it->second) {
-      if (p.column == pred.qi_index() && *p.values == pred.values()) {
-        return p.bitmap;
+  scratch.qi_runs.clear();
+  scratch.qi_run_end.clear();
+  for (const AttributePredicate& pred : preds) {
+    const size_t first_run = scratch.qi_runs.size();
+    const Bitmap* bitmap = nullptr;
+    if (prepared != nullptr) {
+      const uint64_t h = HashPredicateKey(pred.qi_index(), pred.values());
+      const auto it = prepared->find(h);
+      ANATOMY_CHECK(it != prepared->end());
+      for (const PreparedPredicate& p : it->second) {
+        if (p.column == pred.qi_index() && *p.values == pred.values()) {
+          bitmap = p.bitmap;
+          break;
+        }
       }
+      ANATOMY_CHECK(bitmap != nullptr);  // the batch prepared every one
+    } else if (cache_ != nullptr) {
+      scratch.pred_refs.push_back(cache_->GetOrCompute(
+          pred.qi_index(), pred.values(), [&](Bitmap& out) {
+            qit_index_->PredicateBitmap(pred.qi_index(), pred, out);
+          }));
+      bitmap = scratch.pred_refs.back().get();
     }
-    ANATOMY_CHECK(false);  // the batch driver prepared every predicate
+    if (bitmap != nullptr) {
+      scratch.qi_runs.push_back({bitmap->words().data(), nullptr});
+    } else {
+      qit_index_->ForEachRunBitmap(
+          pred.qi_index(), pred, [&](const Bitmap& hi, const Bitmap* lo) {
+            scratch.qi_runs.push_back(
+                {hi.words().data(),
+                 lo == nullptr ? nullptr : lo->words().data()});
+          });
+    }
+    if (scratch.qi_runs.size() == first_run) {
+      return false;  // no value of this predicate is in the column's domain
+    }
+    scratch.qi_run_end.push_back(static_cast<uint32_t>(scratch.qi_runs.size()));
   }
-  if (cache_ != nullptr) {
-    scratch.pred_refs.push_back(cache_->GetOrCompute(
-        pred.qi_index(), pred.values(), [&](Bitmap& out) {
-          qit_index_->PredicateBitmap(pred.qi_index(), pred, out);
-        }));
-    return scratch.pred_refs.back().get();
-  }
-  qit_index_->PredicateBitmap(pred.qi_index(), pred, storage);
-  return &storage;
-}
-
-const Bitmap* AnatomyQueryEngine::FoldPredicates(
-    const std::vector<AttributePredicate>& preds, size_t count,
-    EstimatorScratch& scratch, const PreparedPredicateMap* prepared) const {
-  if (count == 0) return nullptr;
-  const Bitmap* first =
-      OnePredicate(preds[0], scratch, scratch.qi_match, prepared);
-  if (count == 1) return first;
-  const Bitmap* second =
-      OnePredicate(preds[1], scratch, scratch.pred_bits, prepared);
-  scratch.qi_match.AssignAnd(*first, *second);
-  for (size_t i = 2; i < count; ++i) {
-    scratch.qi_match.AndWith(
-        *OnePredicate(preds[i], scratch, scratch.pred_bits, prepared));
-  }
-  return &scratch.qi_match;
+  return true;
 }
 
 AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateCountSum(
@@ -351,44 +319,35 @@ void AnatomyQueryEngine::EstimateCountSumBatch(const BatchQuery* batch,
     return;
   }
 
-  // Materialize each distinct QI predicate once. Leases pin cached bitmaps
-  // for the whole batch; without a cache the bitmaps live in the scratch's
-  // batch storage. Zero-QI queries contribute nothing here and still take
-  // their fast paths below.
-  scratch.pred_refs.clear();
-  scratch.ResetBatch();
+  // Without a cache every query reads its runs straight from the index.
+  // With one, each distinct QI predicate of the batch is looked up once and
+  // its lease pinned for the whole batch.
   PreparedPredicateMap prepared;
-  for (size_t qi = 0; qi < count; ++qi) {
-    for (const AttributePredicate& pred : batch[qi].query->qi_predicates) {
-      const uint64_t h = HashPredicateKey(pred.qi_index(), pred.values());
-      auto& chain = prepared[h];
-      bool present = false;
-      for (const PreparedPredicate& p : chain) {
-        if (p.column == pred.qi_index() && *p.values == pred.values()) {
-          present = true;
-          break;
+  if (cache_ != nullptr) {
+    scratch.pred_refs.clear();
+    for (size_t qi = 0; qi < count; ++qi) {
+      for (const AttributePredicate& pred : batch[qi].query->qi_predicates) {
+        auto& chain =
+            prepared[HashPredicateKey(pred.qi_index(), pred.values())];
+        bool present = false;
+        for (const PreparedPredicate& p : chain) {
+          present = present ||
+                    (p.column == pred.qi_index() && *p.values == pred.values());
         }
-      }
-      if (present) continue;
-      const Bitmap* bitmap;
-      if (cache_ != nullptr) {
+        if (present) continue;
         scratch.pred_refs.push_back(cache_->GetOrCompute(
             pred.qi_index(), pred.values(), [&](Bitmap& bm) {
               qit_index_->PredicateBitmap(pred.qi_index(), pred, bm);
             }));
-        bitmap = scratch.pred_refs.back().get();
-      } else {
-        Bitmap* bm = scratch.NextBatchBitmap(qit_index_->num_rows());
-        qit_index_->PredicateBitmap(pred.qi_index(), pred, *bm);
-        bitmap = bm;
+        chain.push_back(
+            {pred.qi_index(), &pred.values(), scratch.pred_refs.back().get()});
       }
-      chain.push_back({pred.qi_index(), &pred.values(), bitmap});
     }
   }
-
   for (size_t i = 0; i < count; ++i) {
     out[i] = EstimateClustered(*batch[i].query, batch[i].need_sum,
-                               batch[i].measure_qi, scratch, &prepared);
+                               batch[i].measure_qi, scratch,
+                               cache_ != nullptr ? &prepared : nullptr);
   }
 }
 
@@ -445,201 +404,180 @@ AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateScalar(
 AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateClustered(
     const CountQuery& query, bool need_sum, size_t measure_qi,
     EstimatorScratch& scratch, const PreparedPredicateMap* prepared) const {
-  CountSum out;
-  const AttributePredicate& spred = query.sensitive_predicate;
-  const std::vector<AttributePredicate>& preds = query.qi_predicates;
-  const size_t qd = preds.size();
-  const GroupId m = tables_->num_groups();
-
-  if (!need_sum && qd == 0) {
+  if (!need_sum && query.qi_predicates.empty()) {
     // Zero-QI COUNT is exact straight from the ST's published per-value
-    // counts: one lookup per predicate value, no group work at all.
-    for (Code v : spred.values()) {
+    // counts: one lookup per predicate value, no group work at all. The
+    // total is an integer, so it is also the fold's answer.
+    CountSum out;
+    for (Code v : query.sensitive_predicate.values()) {
       if (v < 0 || static_cast<size_t>(v) >= value_total_.size()) continue;
       out.count += static_cast<double>(value_total_[v]);
     }
     return out;
   }
+  SizeClassPartials(query, need_sum, measure_qi, scratch, prepared,
+                    &scratch.partials);
+  const CanonicalFoldResult fold = CanonicalFold(scratch.partials);
+  return {fold.count, fold.sum};
+}
 
-  // Dense mass is computed lazily below: the selective dense paths go
-  // straight to per-group weights and never need the mass array.
-  const bool dense = UseDenseMass(spred);
-  if (!dense && !AccumulateSparseMass(spred, scratch)) return out;
+template <typename CodeT, typename GroupFn>
+void AnatomyQueryEngine::ForEachGroupMatch(const EstimatorScratch& scratch,
+                                           const uint32_t* mass,
+                                           const CodeT* codes,
+                                           GroupFn&& group_fn) const {
+  const size_t n = tables_->num_rows();
+  const size_t num_words = (n + 63) / 64;
+  const GroupId m = tables_->num_groups();
+  const RowId* gs = group_start_.data();
+  // One word past the block stays zero, so the rank of row kBlockRows needs
+  // no special case.
+  uint64_t buf[kBlockWords + 1];
+  uint32_t rank[kBlockWords + 1];
+  // cum[r] = the sum of the codes of the block's first r matching rows. A
+  // u8 code sum over one block fits u32.
+  using Cum = std::conditional_t<sizeof(CodeT) == 1, uint32_t, uint64_t>;
+  Cum cum[kBlockRows + 1];
+  cum[0] = 0;
+  // Matches of the group open at the previous block's end, and their code
+  // sum, from earlier blocks.
+  uint64_t open_match = 0;
+  uint64_t open_codes = 0;
+  for (size_t b = 0; b + 1 < block_group_.size(); ++b) {
+    // Groups [first, next) end in this block; `next`, if any, is still open
+    // at its end.
+    const GroupId first = block_group_[b];
+    const GroupId next = block_group_[b + 1];
+    bool any_mass = false;
+    for (GroupId g = first; g <= next && g < m && !any_mass; ++g) {
+      any_mass = mass[g] != 0;
+    }
+    if (!any_mass) {
+      open_match = 0;
+      open_codes = 0;
+      continue;
+    }
+    const size_t row0 = b * kBlockRows;
+    const size_t w0 = b * kBlockWords;
+    const size_t nw = std::min(kBlockWords, num_words - w0);
+    if (!AndBlock(scratch, w0, nw, n, buf)) {
+      if (first < next) {
+        group_fn(first, open_match, open_codes);
+        open_match = 0;
+        open_codes = 0;
+      }
+      continue;
+    }
+    buf[nw] = 0;
+    rank[0] = 0;
+    for (size_t k = 0; k < nw; ++k) {
+      rank[k + 1] = rank[k] + static_cast<uint32_t>(std::popcount(buf[k]));
+    }
+    if (codes != nullptr) {
+      Cum acc = 0;
+      Cum* out = cum + 1;
+      for (size_t k = 0; k < nw; ++k) {
+        const CodeT* c = codes + row0 + (k << 6);
+        for (uint64_t x = buf[k]; x != 0; x &= x - 1) {
+          acc += c[std::countr_zero(x)];
+          *out++ = acc;
+        }
+      }
+    }
+    uint32_t rank_lo = 0;
+    Cum cum_lo = 0;
+    for (GroupId g = first; g < next; ++g) {
+      const size_t hi = gs[g + 1] - row0;
+      const uint32_t rank_hi =
+          rank[hi >> 6] + static_cast<uint32_t>(std::popcount(
+                              buf[hi >> 6] & ((uint64_t{1} << (hi & 63)) - 1)));
+      const Cum cum_hi = codes != nullptr ? cum[rank_hi] : 0;
+      group_fn(g, open_match + (rank_hi - rank_lo),
+               open_codes + (cum_hi - cum_lo));
+      open_match = 0;
+      open_codes = 0;
+      rank_lo = rank_hi;
+      cum_lo = cum_hi;
+    }
+    open_match += rank[nw] - rank_lo;
+    if (codes != nullptr) open_codes += cum[rank[nw]] - cum_lo;
+  }
+}
 
-  // In batch mode the driver owns the leases pinning prepared bitmaps;
-  // clearing here would free them mid-batch.
+void AnatomyQueryEngine::SizeClassPartials(
+    const CountQuery& query, bool need_sum, size_t measure_qi,
+    EstimatorScratch& scratch, const PreparedPredicateMap* prepared,
+    std::vector<GroupAggregatePartial>* out) const {
+  ANATOMY_CHECK(options_.mode == KernelMode::kGroupClustered);
+  ANATOMY_CHECK(!need_sum || measure_qi < perm_codes_.size());
+  out->clear();
+  // In batch mode EstimateCountSumBatch owns the leases pinning prepared
+  // bitmaps; clearing here would free them mid-batch.
   if (prepared == nullptr) scratch.pred_refs.clear();
-  const size_t* gs = group_start_.data();
-  const double* inv = inv_group_size_.data();
+  if (!CollectPredicateRuns(query.qi_predicates, scratch, prepared)) return;
+  ComputeGroupMass(query.sensitive_predicate, scratch);
 
+  // Per size class, N_s = sum of mass_g * match_g and, for SUM, C_s = sum
+  // of mass_g * (sum of g's matching codes); then V_s = base * N_s + step *
+  // C_s, since every value is base + step * code.
+  const size_t classes = class_size_.size();
+  scratch.class_mass_match.assign(kLanes * classes, 0);
+  scratch.class_mass_value.assign(need_sum ? kLanes * classes : 0, 0);
+  uint64_t* nm = scratch.class_mass_match.data();
+  __int128* nc = scratch.class_mass_value.data();
+  const uint32_t* mass = scratch.group_mass_u32.data();
+  const uint32_t* slot = class_slot_.data();
   if (!need_sum) {
-    if (dense) {
-      // Dense COUNT: fold the whole conjunction once, then pick the exact
-      // kernel by selectivity. Selective conjunctions take the weighted
-      // set-bit walk — per-group weights are precomputed in one
-      // vectorizable pass, and four rotating accumulator lanes break the
-      // serial FP dependency chain of a single += stream. Broad
-      // conjunctions fall back to one ranged popcount per mass group.
-      const Bitmap* conj = FoldPredicates(preds, qd, scratch, prepared);
-      const uint64_t matches = conj->Count();
-      if (matches <= kWalkDensityFactor * static_cast<uint64_t>(m)) {
-        ComputeDenseWeights(spred, scratch);
-        const double* weight = scratch.group_weight.data();
-        const uint32_t* base = word_group_base_.data();
-        const uint8_t* off = bit_group_offset_.data();
-        double acc[4] = {0.0, 0.0, 0.0, 0.0};
-        size_t lane = 0;
-        conj->ForEachSetBit([&](size_t i) {
-          acc[lane++ & 3] += weight[base[i >> 6] + off[i]];
-        });
-        out.count = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-      } else {
-        ComputeDenseMass(spred, scratch);
-        const uint32_t* mass = scratch.group_mass_u32.data();
-        for (GroupId g = 0; g < m; ++g) {
-          if (mass[g] == 0) continue;
-          out.count += static_cast<double>(mass[g]) * inv[g] *
-                       static_cast<double>(conj->CountRange(gs[g], gs[g + 1]));
-        }
-      }
-    } else {
-      // Sparse COUNT touches few groups: fold all but the last predicate
-      // and fuse the last into the ranged popcount — zero per-row work,
-      // one kernel call per mass group.
-      const Bitmap* fold = FoldPredicates(preds, qd - 1, scratch, prepared);
-      const Bitmap* last =
-          OnePredicate(preds[qd - 1], scratch, scratch.pred_bits, prepared);
-      for (GroupId g : scratch.touched_groups) {
-        const uint64_t cnt =
-            fold == nullptr
-                ? last->CountRange(gs[g], gs[g + 1])
-                : Bitmap::AndCountRange(*fold, *last, gs[g], gs[g + 1]);
-        out.count += scratch.group_mass[g] * inv[g] * static_cast<double>(cnt);
-      }
-    }
+    ForEachGroupMatch(scratch, mass, static_cast<const uint8_t*>(nullptr),
+                      [&](GroupId g, uint64_t match, uint64_t) {
+                        nm[slot[g]] += mass[g] * match;
+                      });
   } else {
-    const Bitmap* fold = FoldPredicates(preds, qd, scratch, prepared);
-    const double* vals = perm_values_[measure_qi].data();
-    if (fold != nullptr && dense &&
-        fold->Count() <= kWalkDensityFactor * static_cast<uint64_t>(m)) {
-      // Selective dense SUM: the same weighted walk, also picking up the
-      // measure value per matching row. Zero-mass groups carry weight 0.0
-      // and contribute exact zeros.
-      ComputeDenseWeights(spred, scratch);
-      const double* weight = scratch.group_weight.data();
-      const uint32_t* base = word_group_base_.data();
-      const uint8_t* off = bit_group_offset_.data();
-      double acc_c[2] = {0.0, 0.0};
-      double acc_s[2] = {0.0, 0.0};
-      size_t lane = 0;
-      fold->ForEachSetBit([&](size_t i) {
-        const double w = weight[base[i >> 6] + off[i]];
-        acc_c[lane & 1] += w;
-        acc_s[lane & 1] += w * vals[i];
-        ++lane;
-      });
-      out.count = acc_c[0] + acc_c[1];
-      out.sum = acc_s[0] + acc_s[1];
+    const auto sum_codes = [&](const auto* codes) {
+      ForEachGroupMatch(scratch, mass, codes,
+                        [&](GroupId g, uint64_t match, uint64_t code_sum) {
+                          nm[slot[g]] += mass[g] * match;
+                          nc[slot[g]] +=
+                              static_cast<unsigned __int128>(mass[g]) *
+                              code_sum;
+                        });
+    };
+    const PermutedCodes& column = perm_codes_[measure_qi];
+    if (!column.u8.empty()) {
+      sum_codes(column.u8.data());
     } else {
-      if (dense) ComputeDenseMass(spred, scratch);
-      ForEachMassGroup(dense, m, scratch, [&](GroupId g, double mass) {
-        const size_t lo = gs[g];
-        const size_t hi = gs[g + 1];
-        const double w = mass * inv[g];
-        if (fold == nullptr) {
-          // All rows of the group match the (empty) QI side: count adds
-          // the mass exactly, the sum adds w * sum of the group's values.
-          out.count += mass;
-          double acc = 0.0;
-          for (size_t i = lo; i < hi; ++i) acc += vals[i];
-          out.sum += w * acc;
-        } else {
-          uint64_t cnt = 0;
-          double acc = 0.0;
-          fold->ForEachSetBitInRange(lo, hi, [&](size_t i) {
-            ++cnt;
-            acc += vals[i];
-          });
-          out.count += w * static_cast<double>(cnt);
-          out.sum += w * acc;
-        }
-      });
+      sum_codes(column.u32.data());
     }
   }
-
-  if (!dense) {
-    for (GroupId g : scratch.touched_groups) scratch.group_mass[g] = 0.0;
+  const AttributeDef& measure =
+      tables_->qit().schema().attribute(need_sum ? measure_qi : 0);
+  const bool numerical = measure.kind == AttributeKind::kNumerical;
+  // Unsigned: step * C_s may leave the signed range on the way, but V_s
+  // itself fits, and arithmetic mod 2^128 lands on it exactly.
+  using U128 = unsigned __int128;
+  const U128 base = static_cast<U128>(numerical ? measure.numeric_base : 0);
+  const U128 step = static_cast<U128>(numerical ? measure.numeric_step : 1);
+  for (size_t k = 0; k < classes; ++k) {
+    GroupAggregatePartial p{class_size_[k], 0, 0};
+    U128 codes = 0;
+    for (size_t j = k * kLanes; j < (k + 1) * kLanes; ++j) {
+      p.mass_match += nm[j];
+      if (need_sum) codes += static_cast<U128>(nc[j]);
+    }
+    if (p.mass_match == 0) continue;
+    if (need_sum) {
+      p.mass_value = static_cast<__int128>(base * p.mass_match + step * codes);
+    }
+    out->push_back(p);
   }
-  return out;
 }
 
 void AnatomyQueryEngine::CollectSizeClassPartials(
     const CountQuery& query, bool need_sum, size_t measure_qi,
     EstimatorScratch& scratch,
     std::vector<GroupAggregatePartial>* out) const {
-  ANATOMY_CHECK(options_.mode == KernelMode::kGroupClustered);
-  out->clear();
-  ComputeGroupMass(query.sensitive_predicate, scratch);
-  scratch.pred_refs.clear();
-  const Bitmap* fold =
-      FoldPredicates(query.qi_predicates, query.qi_predicates.size(), scratch,
-                     /*prepared=*/nullptr);
-
-  // One pass over the matching rows (every row when there is no QI
-  // predicate): row i of group g adds mass_g to N and mass_g * value_i to V
-  // of g's size class. Groups without mass add exact zeros, so the loop
-  // needs no branch. Rows rotate over kLanes accumulator copies: most rows
-  // share one class, and a single copy would chain every add through
-  // memory.
-  constexpr size_t kLanes = 4;
-  const size_t classes = class_size_.size();
-  scratch.class_mass_match.assign(kLanes * classes, 0);
-  scratch.class_mass_value.assign(kLanes * classes, 0);
-  uint64_t* nm = scratch.class_mass_match.data();
-  __int128* nv = scratch.class_mass_value.data();
-  const uint32_t* mass = scratch.group_mass_u32.data();
-  const uint32_t* cls = size_class_.data();
-  const uint32_t* base = word_group_base_.data();
-  const uint8_t* off = bit_group_offset_.data();
-  // Not size_t: a uint64_t counter could alias the nm stores, which would
-  // force it through memory on every row.
-  uint32_t lane = 0;
-  const auto for_each_match = [&](auto&& value_at) {
-    const auto visit = [&](size_t i) {
-      const GroupId g = base[i >> 6] + off[i];
-      const size_t slot = cls[g] * kLanes + (lane++ & (kLanes - 1));
-      nm[slot] += mass[g];
-      if (need_sum) {
-        nv[slot] += static_cast<__int128>(value_at(i)) * mass[g];
-      }
-    };
-    if (fold != nullptr) {
-      fold->ForEachSetBit(visit);
-    } else {
-      for (size_t i = 0; i < perm_.size(); ++i) visit(i);
-    }
-  };
-  if (!need_sum) {
-    for_each_match([](size_t) { return int64_t{0}; });
-  } else if (exact_values_[measure_qi]) {
-    // perm_values_ holds every value of this column exactly.
-    const double* vals = perm_values_[measure_qi].data();
-    for_each_match([vals](size_t i) { return static_cast<int64_t>(vals[i]); });
-  } else {
-    const AttributeDef& measure = tables_->qit().schema().attribute(measure_qi);
-    const Code* codes = tables_->qit().column(measure_qi).data();
-    const RowId* perm = perm_.data();
-    for_each_match(
-        [&](size_t i) { return IntegerValue(measure, codes[perm[i]]); });
-  }
-  for (size_t k = 0; k < classes; ++k) {
-    GroupAggregatePartial p{class_size_[k], 0, 0};
-    for (size_t j = k * kLanes; j < (k + 1) * kLanes; ++j) {
-      p.mass_match += nm[j];
-      p.mass_value += nv[j];
-    }
-    if (p.mass_match != 0) out->push_back(p);
-  }
+  SizeClassPartials(query, need_sum, measure_qi, scratch,
+                    /*prepared=*/nullptr, out);
 }
 
 std::vector<uint64_t> AnatomyQueryEngine::GroupMatchCounts(
@@ -648,14 +586,16 @@ std::vector<uint64_t> AnatomyQueryEngine::GroupMatchCounts(
   std::vector<uint64_t> counts(m, 0);
   if (options_.mode == KernelMode::kGroupClustered) {
     scratch.pred_refs.clear();
-    const Bitmap* fold =
-        FoldPredicates(query.qi_predicates, query.qi_predicates.size(),
-                       scratch, /*prepared=*/nullptr);
-    for (GroupId g = 0; g < m; ++g) {
-      counts[g] = fold == nullptr
-                      ? group_start_[g + 1] - group_start_[g]
-                      : fold->CountRange(group_start_[g], group_start_[g + 1]);
+    if (!CollectPredicateRuns(query.qi_predicates, scratch, nullptr)) {
+      return counts;
     }
+    // A unit mass for every group, so no block is skipped.
+    scratch.group_mass_u32.assign(m, 1);
+    ForEachGroupMatch(scratch, scratch.group_mass_u32.data(),
+                      static_cast<const uint8_t*>(nullptr),
+                      [&](GroupId g, uint64_t match, uint64_t) {
+                        counts[g] = match;
+                      });
     return counts;
   }
   scratch.qi_match.Reset(qit_index_->num_rows());
@@ -668,6 +608,33 @@ std::vector<uint64_t> AnatomyQueryEngine::GroupMatchCounts(
     ++counts[tables_->group_of_row(static_cast<RowId>(row))];
   });
   return counts;
+}
+
+CanonicalFoldResult CanonicalFold(
+    std::span<const AnatomyQueryEngine::GroupAggregatePartial> partials) {
+  // Sizes in ascending order without sorting a copy: each step takes the
+  // smallest size above the last one and adds every partial of that size.
+  // A fold sees at most l sizes per node.
+  CanonicalFoldResult r;
+  int64_t last = -1;
+  for (;;) {
+    int64_t size = std::numeric_limits<int64_t>::max();
+    for (const auto& p : partials) {
+      if (p.size > last && p.size < size) size = p.size;
+    }
+    if (size == std::numeric_limits<int64_t>::max()) break;
+    uint64_t mass_match = 0;
+    __int128 mass_value = 0;
+    for (const auto& p : partials) {
+      if (p.size != size) continue;
+      mass_match += p.mass_match;
+      mass_value += p.mass_value;
+    }
+    r.count += static_cast<double>(mass_match) / static_cast<double>(size);
+    r.sum += static_cast<double>(mass_value) / static_cast<double>(size);
+    last = size;
+  }
+  return r;
 }
 
 std::vector<AnatomyQueryEngine::GroupAggregatePartial> ScanSizeClassPartials(

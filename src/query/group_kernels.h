@@ -1,29 +1,37 @@
-// The shared estimation engine behind both anatomy estimators: group-
-// clustered word-level kernels, with the original row-at-a-time path
-// retained as the scalar reference.
+// The shared estimation engine behind both anatomy estimators: one exact-
+// integer block kernel over a group-clustered layout, with the original
+// row-at-a-time path retained as the scalar reference.
 //
 // Layout (built inside the estimator — publication is untouched): QIT rows
 // are permuted by Group-ID so every QI group occupies one contiguous bit
-// range [group_start_[g], group_start_[g+1]) of every index bitmap. With
-// the prefix-OR index on top of that permutation:
+// range [group_start_[g], group_start_[g+1]) of every index bitmap, and
+// every QI column is copied in that order at u8 when its domain fits, else
+// at u32.
 //
-//   COUNT:  estimate = sum_g mass_g / |g| * matchcount_g. Sparse-mass
-//           queries compute matchcount_g with one fused AndCountRange per
-//           touched group; dense-mass queries either walk the folded
-//           conjunction's set bits with precomputed per-group weights
-//           (selective case) or run one ranged popcount per mass group
-//           (broad case) — the split is kWalkDensityFactor.
-//   SUM:    a per-row tail over matching rows only: the weighted set-bit
-//           walk when selective, otherwise per-group
-//           ForEachSetBitInRange (inlined callback, no division per row —
-//           the 1/|g| weight is precomputed).
+// The estimate is sum_g mass_g * match_g / |g|. Anatomize publishes at most
+// l distinct group sizes, so the kernel adds exact integers per size class
+// s (N_s, V_s; see GroupAggregatePartial) and CanonicalFold divides once per
+// class. One kernel serves the single-node estimators, the merged engine
+// and every node of src/dist, so their answers are bit-identical by
+// construction. Per block of 64 words (4096 rows) it
+//   1. ANDs the QI predicate words into a buffer on the stack: cached or
+//      batch-prepared bitmaps when there are any, otherwise each run's
+//      prefix[hi] AND NOT prefix[lo-1] straight from the index;
+//   2. prefix-popcounts the buffer, so match_g = rank(end_g) - rank(start_g)
+//      for every group ending in the block (a group that straddles blocks
+//      carries its count forward), and N[class(g)] += mass_g * match_g;
+//   3. for SUM, walks the block's matching rows once, keeping cum[r] = the
+//      sum of the measure codes of its first r matching rows, so g's code
+//      sum is cum[rank(end_g)] - cum[rank(start_g)]; C[class(g)] += mass_g
+//      * that, and V_s = base * N_s + step * C_s (value = base + step *
+//      code).
+// A block whose AND is zero, or none of whose groups has mass, skips its
+// groups in O(1).
 //
-// Sensitive mass S_j comes from either the sparse postings walk (as
-// before) or, for broad predicates, a dense pass over cumulative per-group
-// histograms prefix_mass_[v][g] = sum_{u<=v} c_g(u): each predicate run is
-// one vectorizable subtraction over the group axis. Both paths accumulate
-// exact integers, so the (deterministic, query-only) choice between them
-// never changes a result.
+// Sensitive mass S_j comes from either the postings walk or, for broad
+// predicates, a dense pass over cumulative per-group histograms
+// prefix_mass_[v][g] = sum_{u<=v} c_g(u): each predicate run is one
+// vectorizable subtraction over the group axis. Both are exact integers.
 //
 // Thread safety: immutable after construction except the internally-
 // synchronized predicate-bitmap cache; one engine may serve any number of
@@ -34,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -91,48 +100,32 @@ class AnatomyQueryEngine {
   };
 
   /// Batched COUNT/SUM over batch[0..count), writing out[i] for batch[i].
-  /// Each distinct (column, values) QI predicate appearing anywhere in the
-  /// batch is materialized exactly once — through the shared cache when
-  /// enabled, otherwise into batch-local storage — and then every query is
-  /// evaluated with the same kernels and the same arithmetic as
-  /// EstimateCountSum, so out[i] is bit-identical to the one-query-at-a-
-  /// time path. Amortizes the dominant predicate-materialization pass over
-  /// the group-clustered permutation across the batch.
+  /// With the cache, each distinct (column, values) QI predicate of the
+  /// batch is looked up once and pinned for the batch; without it, no
+  /// predicate is materialized at all. Every query then runs the same
+  /// kernel as EstimateCountSum, so out[i] is bit-identical to the one-
+  /// query-at-a-time path.
   void EstimateCountSumBatch(const BatchQuery* batch, size_t count,
                              EstimatorScratch& scratch, CountSum* out) const;
 
   /// Exact number of rows matching the QI-predicate conjunction in each
   /// group. Integer-identical across kernel modes — the property-test hook
-  /// for the fused popcount kernels.
+  /// for the block kernel's rank pass.
   std::vector<uint64_t> GroupMatchCounts(const CountQuery& query,
                                          EstimatorScratch& scratch) const;
 
   /// The exact contribution of every group of one size s to a COUNT/SUM
-  /// estimate. The estimate is sum_g mass_g * match_g / |g|, and Anatomize
-  /// publishes at most l distinct group sizes, so it is a sum of exact
-  /// integers over at most l denominators. Partials merge by integer
-  /// addition per size, which is associative: any node count or merge order
-  /// gives the same totals (src/dist/scatter_gather.h holds the fold).
-  struct GroupAggregatePartial {
-    /// s = |g| of every group this partial covers.
-    uint32_t size = 0;
-    /// N_s = sum over groups of size s of mass_g * match_g, where mass_g is
-    /// the group's qualifying sensitive mass and match_g its rows matching
-    /// the QI conjunction. Both are at most s, so N_s <= s * n < 2^64.
-    uint64_t mass_match = 0;
-    /// V_s = sum over the same groups of mass_g * (sum of the measure over
-    /// g's matching rows); 0 for COUNT. Measure values are int64, so
-    /// |V_s| <= 2^63 * N_s < 2^127: no schema can overflow it.
-    __int128 mass_value = 0;
-
-    bool operator==(const GroupAggregatePartial&) const = default;
-  };
+  /// estimate (fields documented on SizeClassPartial). Partials merge by
+  /// integer addition per size, which is associative: any node count or
+  /// merge order gives the same totals, and CanonicalFold turns them into
+  /// the estimate.
+  using GroupAggregatePartial = SizeClassPartial;
 
   /// Writes one partial per group size with N_s > 0, in ascending size, to
   /// *out (cleared first). Group-clustered mode only. This is the scatter
-  /// side of the distributed estimator: one pass over the rows matching the
-  /// QI conjunction, with no sort and no per-group output. The partials are
-  /// exact integers, so no engine option can change them.
+  /// side of the distributed estimator and, folded, the single-node
+  /// estimate. The partials are exact integers, so no engine option can
+  /// change them.
   void CollectSizeClassPartials(const CountQuery& query, bool need_sum,
                                 size_t measure_qi, EstimatorScratch& scratch,
                                 std::vector<GroupAggregatePartial>* out) const;
@@ -157,11 +150,16 @@ class AnatomyQueryEngine {
   CountSum EstimateScalar(const CountQuery& query, bool need_sum,
                           size_t measure_qi, EstimatorScratch& scratch) const;
   /// `prepared` non-null means batch mode: predicate bitmaps come from the
-  /// prepared map (whose leases the batch driver owns) instead of being
-  /// materialized per query.
+  /// prepared map (whose leases EstimateCountSumBatch owns) instead of the
+  /// cache or the index.
   CountSum EstimateClustered(const CountQuery& query, bool need_sum,
                              size_t measure_qi, EstimatorScratch& scratch,
                              const PreparedPredicateMap* prepared) const;
+  /// CollectSizeClassPartials, with `prepared` as above.
+  void SizeClassPartials(const CountQuery& query, bool need_sum,
+                         size_t measure_qi, EstimatorScratch& scratch,
+                         const PreparedPredicateMap* prepared,
+                         std::vector<GroupAggregatePartial>* out) const;
 
   /// Accumulates S_j into scratch.group_mass/touched_groups via the
   /// postings. Returns false when no group has qualifying mass.
@@ -174,27 +172,21 @@ class AnatomyQueryEngine {
   /// or the postings path, whichever costs less for this predicate.
   void ComputeGroupMass(const AttributePredicate& spred,
                         EstimatorScratch& scratch) const;
-  /// Deterministic cost call between the two mass paths.
-  bool UseDenseMass(const AttributePredicate& spred) const;
-  /// scratch.group_weight[g] = S_g(spred) / |g| straight from the prefix
-  /// histograms (dense path only): one vectorizable pass per predicate run,
-  /// no intermediate mass array, so the set-bit walk pays a single load per
-  /// row.
-  void ComputeDenseWeights(const AttributePredicate& spred,
-                           EstimatorScratch& scratch) const;
 
-  /// One predicate's bitmap: the batch-prepared bitmap when `prepared` is
-  /// non-null, else a cache lease (pinned in scratch.pred_refs) or a
-  /// computation into `storage`.
-  const Bitmap* OnePredicate(const AttributePredicate& pred,
-                             EstimatorScratch& scratch, Bitmap& storage,
-                             const PreparedPredicateMap* prepared) const;
-  /// AND of preds[0..count): nullptr when count == 0, a single (possibly
-  /// cached) bitmap when count == 1, otherwise materialized into
-  /// scratch.qi_match with one binary AssignAnd (no SetAll pass).
-  const Bitmap* FoldPredicates(const std::vector<AttributePredicate>& preds,
-                               size_t count, EstimatorScratch& scratch,
-                               const PreparedPredicateMap* prepared) const;
+  /// Fills scratch.qi_runs / qi_run_end with the query's QI conjunction:
+  /// the batch-prepared bitmap when `prepared` is non-null, else a cache
+  /// lease (pinned in scratch.pred_refs), else the predicate's runs in the
+  /// index. Returns false when some predicate matches no row.
+  bool CollectPredicateRuns(const std::vector<AttributePredicate>& preds,
+                            EstimatorScratch& scratch,
+                            const PreparedPredicateMap* prepared) const;
+  /// The block kernel over scratch.qi_runs: calls group_fn(g, match_g,
+  /// sum of codes[i] over g's matching rows i) for the groups in order — at
+  /// least every group with mass[g] != 0 and match_g > 0. The code sums
+  /// are 0 when `codes` is null.
+  template <typename CodeT, typename GroupFn>
+  void ForEachGroupMatch(const EstimatorScratch& scratch, const uint32_t* mass,
+                         const CodeT* codes, GroupFn&& group_fn) const;
 
   const AnatomizedTables* tables_;
   EstimatorOptions options_;
@@ -206,34 +198,47 @@ class AnatomyQueryEngine {
   ArenaVector<uint64_t> value_total_;
 
   // --- kGroupClustered state (empty in scalar mode) ---
-  /// perm_[i] = QIT row at bit i (rows counting-sorted by Group-ID). Plain
-  /// std::vector: BitmapIndex takes the permutation by std::vector pointer.
-  std::vector<RowId> perm_;
+  // The per-group and per-row arrays the kernel reads on every query live
+  // in the arena's huge-page-advised chunks (DESIGN.md §11).
   /// group_start_[g] .. group_start_[g+1]: group g's bit range.
-  ArenaVector<size_t> group_start_;
-  /// The group owning bit i is word_group_base_[i / 64] +
-  /// bit_group_offset_[i]. The split keeps the weighted set-bit walk's
-  /// per-row metadata at one byte: a 64-bit word spans at most 64 groups,
-  /// so the offset from the word's first group always fits u8.
-  ArenaVector<uint32_t> word_group_base_;
-  ArenaVector<uint8_t> bit_group_offset_;
-  /// Precomputed 1 / |g| — removes the per-row division of the scalar path.
-  ArenaVector<double> inv_group_size_;
+  ArenaVector<RowId> group_start_;
+  /// block_group_[b] = the group owning the first row of block b (4096
+  /// rows), and m for b = the block count: the groups ending in block b
+  /// are [block_group_[b], block_group_[b+1]).
+  ArenaVector<GroupId> block_group_;
   /// class_size_ holds the distinct group sizes, ascending (at most l for
-  /// an Anatomize publication); size_class_[g] indexes group g's size in it.
+  /// an Anatomize publication). Group g accumulates into slot class_slot_[g]
+  /// = k * kLanes + g % kLanes of the per-class accumulators, k indexing
+  /// its size in class_size_: consecutive groups mostly share a class, and
+  /// one accumulator per class would chain every add through memory.
   std::vector<uint32_t> class_size_;
-  std::vector<uint32_t> size_class_;
-  /// perm_values_[qi][i] = NumericValue of QI column qi at bit i.
-  ArenaVector<ArenaVector<double>> perm_values_;
-  /// exact_values_[qi]: every value of column qi is an integer of magnitude
-  /// <= 2^53, so perm_values_[qi] holds it exactly.
-  std::vector<bool> exact_values_;
+  ArenaVector<uint32_t> class_slot_;
+  /// QI column qi's codes in bit order, in exactly one of the two vectors:
+  /// u8 when the column's domain fits (every CENSUS attribute), else u32.
+  struct PermutedCodes {
+    ArenaVector<uint8_t> u8;
+    ArenaVector<uint32_t> u32;
+  };
+  std::vector<PermutedCodes> perm_codes_;
   /// prefix_mass_[v][g] = sum_{u<=v} c_g(u); empty when the sensitive
   /// domain x group count would exceed the memory gate.
   ArenaVector<ArenaVector<uint32_t>> prefix_mass_;
   /// Null when disabled (the options kill switch) or in scalar mode.
   std::unique_ptr<PredicateBitmapCache> cache_;
 };
+
+/// The one true merge: adds N_s and V_s per group size (exact integers),
+/// then divides once per size in ascending s, with one accumulator per
+/// aggregate. The integer sums do not depend on the order or grouping of
+/// `partials`, so every node count, merge order and chunking gives the same
+/// bits (asserted in tests/query_kernels_test.cc and tests/dist_test.cc).
+/// Allocates nothing.
+struct CanonicalFoldResult {
+  double count = 0.0;
+  double sum = 0.0;
+};
+CanonicalFoldResult CanonicalFold(
+    std::span<const AnatomyQueryEngine::GroupAggregatePartial> partials);
 
 /// The row-scan oracle of AnatomyQueryEngine::CollectSizeClassPartials:
 /// the same N_s and V_s from the published tables alone (no index, no

@@ -99,10 +99,9 @@ TEST(DistTest, ScatterGatherBitIdenticalToMergedFoldAcrossN) {
       EXPECT_EQ(est.value, want);
       EXPECT_EQ(est.lower, est.value);
       EXPECT_EQ(est.upper, est.value);
-      // And within float-reassociation distance of the production estimator.
-      const double fused = agg.Estimate(query);
-      EXPECT_LE(std::abs(est.value - fused), 1e-9 * (1.0 + std::abs(fused)))
-          << "query " << i;
+      // And equal to the production single-node estimator: both fold the
+      // same exact size-class partials.
+      EXPECT_EQ(est.value, agg.Estimate(query)) << "query " << i;
     }
   }
 }
@@ -120,6 +119,35 @@ TEST(DistTest, AvgIsRejected) {
   auto r = estimator.Estimate(query);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DistTest, PredicateOnMissingColumnIsInvalidArgument) {
+  DistClusterOptions copts;
+  copts.nodes = 2;
+  copts.l = 3;
+  DistCluster cluster(copts);
+  ASSERT_TRUE(cluster.PublishEpoch(MakeChaosMicrodata(600, 3, 1)).ok());
+  ASSERT_EQ(cluster.qi_defs().size(), 3u);
+  ScatterGatherEstimator estimator(&cluster, DistQueryOptions{});
+  for (size_t column : {3u, 4u, 9u}) {
+    for (AggregateKind kind : {AggregateKind::kCount, AggregateKind::kSum}) {
+      AggregateQuery query;
+      query.kind = kind;
+      query.predicates.qi_predicates.push_back(AttributePredicate(0, {0, 1}));
+      query.predicates.qi_predicates.push_back(
+          AttributePredicate(column, {0}));
+      auto r = estimator.Estimate(query);
+      ASSERT_FALSE(r.ok()) << "column " << column;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // Refused before any node was attempted: the virtual clock never moved.
+  EXPECT_EQ(estimator.virtual_now_ns(), 0u);
+  AggregateQuery valid;
+  valid.predicates.qi_predicates.push_back(AttributePredicate(2, {0, 1}));
+  auto r = estimator.Estimate(valid);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().exact);
 }
 
 // --------------------------------------------------- degradation honesty

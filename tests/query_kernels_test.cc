@@ -1,10 +1,11 @@
-// Property tests for the group-clustered query kernels: across a grid of
+// Property tests for the group-clustered block kernel: across a grid of
 // dataset shapes, privacy parameters, and workload configurations, the
-// kernel paths (with and without the predicate-bitmap cache) must agree
-// with the retained scalar reference within 1e-9 relative on every
-// COUNT/SUM/AVG estimate, and the per-group match counts must be
-// integer-identical. Plus unit tests for the predicate cache itself
-// (hit/miss/eviction accounting, kill switch, lease validity across
+// kernel (with and without the predicate-bitmap cache, one query or a
+// batch at a time) must agree with the retained scalar reference within
+// 1e-9 relative on every COUNT/SUM/AVG estimate and equal the fold of the
+// row-scan oracle's size-class partials exactly, and the per-group match
+// counts must be integer-identical. Plus unit tests for the predicate cache
+// itself (hit/miss/eviction accounting, kill switch, lease validity across
 // eviction) and the zero-QI-predicate fast path.
 
 #include <gtest/gtest.h>
@@ -22,13 +23,11 @@
 #include "common/rng.h"
 #include "data/census_generator.h"
 #include "data/dataset.h"
-#include "dist/scatter_gather.h"
 #include "obs/metrics.h"
 #include "query/aggregate.h"
 #include "query/anatomy_estimator.h"
 #include "query/bitmap.h"
 #include "query/pred_cache.h"
-#include "query/simd.h"
 #include "table/schema.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -96,6 +95,12 @@ std::vector<uint64_t> BruteForceGroupMatches(const AnatomizedCensus& census,
   return counts;
 }
 
+double FoldValue(std::span<const AnatomyQueryEngine::GroupAggregatePartial> p,
+                 bool need_sum) {
+  const CanonicalFoldResult fold = CanonicalFold(p);
+  return need_sum ? fold.sum : fold.count;
+}
+
 // ------------------------------------------------------- Grid properties --
 
 TEST(QueryKernelsPropertyTest, KernelsMatchScalarReferenceAcrossGrid) {
@@ -140,6 +145,47 @@ TEST(QueryKernelsPropertyTest, KernelsMatchScalarReferenceAcrossGrid) {
                 EXPECT_EQ(ker, cac)
                     << "d=" << d << " l=" << l << " seed=" << seed
                     << " qd=" << qd << " query=" << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryKernelsPropertyTest, KernelEqualsOracleFoldAcrossGrid) {
+  // The same grid: every COUNT and SUM of the kernel, cached or not, is the
+  // fold of the row-scan oracle's size-class partials, bit for bit.
+  EstimatorOptions kernel;
+  kernel.predcache.enabled = false;
+  for (int d : {3, 5}) {
+    for (int l : {4, 10}) {
+      for (uint64_t seed : {11u, 12u}) {
+        const AnatomizedCensus census = MakeAnatomizedCensus(4000, d, l, seed);
+        const Microdata& md = census.dataset.microdata;
+        const AnatomyAggregateEstimator kernel_est(census.tables, kernel);
+        const AnatomyAggregateEstimator cached_est(census.tables);
+        for (int qd : {2, 0}) {
+          for (bool ranges : {false, true}) {
+            const std::vector<CountQuery> queries = GridQueries(
+                md, qd, /*s=*/0.05, /*count=*/40, seed + 100 * qd + ranges,
+                ranges);
+            for (size_t i = 0; i < queries.size(); ++i) {
+              for (bool need_sum : {false, true}) {
+                AggregateQuery q;
+                q.predicates = queries[i];
+                q.kind = need_sum ? AggregateKind::kSum : AggregateKind::kCount;
+                q.measure_qi = static_cast<size_t>(i) % md.d();
+                const double want = FoldValue(
+                    ScanSizeClassPartials(census.tables, q.predicates, need_sum,
+                                          q.measure_qi),
+                    need_sum);
+                EXPECT_EQ(kernel_est.Estimate(q), want)
+                    << "d=" << d << " l=" << l << " seed=" << seed
+                    << " qd=" << qd << " ranges=" << ranges << " query=" << i
+                    << " sum=" << need_sum;
+                EXPECT_EQ(cached_est.Estimate(q), want);
               }
             }
           }
@@ -420,12 +466,6 @@ SignedMeasurePublication MakeSignedMeasurePublication(RowId n, int l,
   return SignedMeasurePublication{std::move(md), std::move(tables).value()};
 }
 
-double FoldValue(std::span<const AnatomyQueryEngine::GroupAggregatePartial> p,
-                 bool need_sum) {
-  const CanonicalFoldResult fold = CanonicalFold(p);
-  return need_sum ? fold.sum : fold.count;
-}
-
 TEST(SizeClassPartialsTest, EngineEqualsRowScanOracleAndFoldIsOrderFree) {
   EstimatorOptions scalar;
   scalar.mode = KernelMode::kScalar;
@@ -518,63 +558,237 @@ TEST(SizeClassPartialsTest, EngineEqualsRowScanOracleAndFoldIsOrderFree) {
   }
 }
 
-// ------------------------------------------------------------ SIMD tiers --
+// ------------------------------------------------------ The block kernel --
 
-TEST(SimdTest, WordKernelsMatchScalarAcrossTiers) {
-  // Exercise CountWords/AndCountWords directly on adversarial word
-  // patterns at every supported tier; the dispatch must never change the
-  // integer result.
-  std::vector<uint64_t> a, b;
-  uint64_t x = 0x243f6a8885a308d3ULL;  // deterministic pseudo-random words
-  for (size_t i = 0; i < 133; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    a.push_back(x);
-    b.push_back(~x ^ (x >> 1));
-  }
-  a.push_back(~0ULL);
-  b.push_back(~0ULL);
-  a.push_back(0);
-  b.push_back(~0ULL);
+// A publication shaped to reach every branch of the block kernel: groups of
+// 1 to 5000 rows in shuffled order (one wider than a 4096-row block, many
+// straddling words and blocks), n a multiple of neither 64 nor 4096, a QI
+// column constant over runs of groups (a point predicate on it leaves whole
+// blocks without a match), and measures with a negative base, values beyond
+// 2^53 and a domain too wide for u8 codes (`wide_domain` sizes it). Build()
+// accepts any partition, l-diverse or not.
+struct ShapedPublication {
+  Microdata md;
+  AnatomizedTables tables;
+};
 
-  const simd::Tier original = simd::ActiveTier();
-  ASSERT_TRUE(simd::SetTier(simd::Tier::kScalar));
-  std::vector<uint64_t> want_count, want_and;
-  for (size_t n = 0; n <= a.size(); ++n) {
-    want_count.push_back(simd::CountWords(a.data(), n));
-    want_and.push_back(simd::AndCountWords(a.data(), b.data(), n));
+ShapedPublication MakeShapedPublication(const std::vector<uint32_t>& sizes,
+                                        Code wide_domain, uint64_t seed) {
+  std::vector<AttributeDef> defs;
+  defs.push_back(MakeCategorical("Zone", 8));
+  defs.push_back(MakeNumerical("Balance", 64, /*base=*/-1000, /*step=*/37));
+  defs.push_back(MakeNumerical("Huge", 16, /*base=*/-(int64_t{1} << 62),
+                               /*step=*/int64_t{1} << 58));
+  defs.push_back(MakeNumerical("Wide", wide_domain, /*base=*/-7, /*step=*/3));
+  defs.push_back(MakeCategorical("Disease", 12));
+  Rng rng(seed);
+  std::vector<uint32_t> order = sizes;
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
   }
-  for (simd::Tier tier :
-       {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
-    if (!simd::SetTier(tier)) continue;  // unsupported on this machine
-    for (size_t n = 0; n <= a.size(); ++n) {
-      EXPECT_EQ(simd::CountWords(a.data(), n), want_count[n])
-          << simd::TierName(tier) << " n=" << n;
-      EXPECT_EQ(simd::AndCountWords(a.data(), b.data(), n), want_and[n])
-          << simd::TierName(tier) << " n=" << n;
+  RowId n = 0;
+  for (uint32_t size : order) n += size;
+  std::vector<RowId> rows(n);
+  for (RowId r = 0; r < n; ++r) rows[r] = r;
+  for (RowId i = n; i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.NextBounded(i)]);
+  }
+  Partition partition;
+  std::vector<GroupId> group_of(n);
+  RowId next = 0;
+  for (uint32_t size : order) {
+    partition.groups.emplace_back(rows.begin() + next,
+                                  rows.begin() + next + size);
+    for (RowId i = next; i < next + size; ++i) {
+      group_of[rows[i]] = static_cast<GroupId>(partition.groups.size() - 1);
     }
+    next += size;
   }
-  ASSERT_TRUE(simd::SetTier(original));
+  Microdata md;
+  md.table = Table(std::make_shared<Schema>(std::move(defs)));
+  for (RowId r = 0; r < n; ++r) {
+    const Code row[5] = {
+        static_cast<Code>((group_of[r] / 3) % 8),
+        static_cast<Code>(rng.NextBounded(64)),
+        static_cast<Code>(rng.NextBounded(16)),
+        static_cast<Code>(rng.NextBounded(static_cast<uint64_t>(wide_domain))),
+        static_cast<Code>(rng.NextBounded(12))};
+    md.table.AppendRow(row);
+  }
+  md.qi_columns = {0, 1, 2, 3};
+  md.sensitive_column = 4;
+  auto tables = AnatomizedTables::Build(md, partition);
+  ANATOMY_CHECK_OK(tables.status());
+  return ShapedPublication{std::move(md), std::move(tables).value()};
 }
 
-TEST(SimdTest, EstimatesAreBitIdenticalAcrossTiers) {
-  const AnatomizedCensus census = MakeAnatomizedCensus(3000, 4, 6, 57);
-  const AnatomyEstimator estimator(census.tables);
-  const std::vector<CountQuery> queries =
-      GridQueries(census.dataset.microdata, 2, 0.1, 20, 71, true);
+TEST(BlockKernelTest, EstimatesEqualTheFoldOfTheRowScanOracle) {
+  const std::vector<uint32_t> kSizes = {1,  2,  3,   10,  11,   63,
+                                        64, 65, 127, 700, 4096, 5000};
+  std::vector<uint32_t> sizes;
+  for (int copy = 0; copy < 3; ++copy) {
+    sizes.insert(sizes.end(), kSizes.begin(), kSizes.end());
+  }
+  std::vector<ShapedPublication> pubs;
+  pubs.push_back(MakeShapedPublication(sizes, /*wide_domain=*/300, 5));
+  // Codes beyond 2^16; a small table keeps the 70000-bitmap index small.
+  pubs.push_back(MakeShapedPublication({1, 5, 64, 65, 90}, 70000, 6));
 
-  const simd::Tier original = simd::ActiveTier();
-  ASSERT_TRUE(simd::SetTier(simd::Tier::kScalar));
-  std::vector<double> want(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    want[i] = estimator.Estimate(queries[i]);
+  EstimatorOptions uncached;
+  uncached.predcache.enabled = false;
+  for (size_t pi = 0; pi < pubs.size(); ++pi) {
+    const ShapedPublication& pub = pubs[pi];
+    const AnatomizedTables& tables = pub.tables;
+    const Code wide = tables.qit().schema().attribute(3).domain_size;
+    const AnatomyAggregateEstimator cached_est(tables);
+    const AnatomyAggregateEstimator uncached_est(tables, uncached);
+    const AnatomyQueryEngine engine(tables, uncached);
+
+    std::vector<CountQuery> queries;
+    for (const AttributePredicate& sensitive :
+         {AttributePredicate(0, {3}), RangePredicate(0, 0, 8),
+          AttributePredicate(0, {-1, 2, 5, 12, 40}),
+          RangePredicate(0, 0, 11)}) {
+      const std::vector<std::vector<AttributePredicate>> qi_sets = {
+          {},
+          {AttributePredicate(0, {5})},
+          {AttributePredicate(0, {1, 6}), RangePredicate(1, 10, 40)},
+          {RangePredicate(1, 0, 20), AttributePredicate(2, {0, 3, 4, 15}),
+           RangePredicate(3, wide / 3, wide - 1)},
+          {AttributePredicate(3, {1, 2, wide - 1}), AttributePredicate(0, {2})},
+          {AttributePredicate(3, {-3, wide})},  // out of domain: no row
+          {RangePredicate(0, 0, 7)},            // every row
+      };
+      for (const auto& qi : qi_sets) {
+        CountQuery q;
+        q.sensitive_predicate = sensitive;
+        q.qi_predicates = qi;
+        queries.push_back(q);
+      }
+    }
+
+    std::vector<AggregateQuery> batch;
+    std::vector<double> want;
+    EstimatorScratch scratch;
+    std::vector<AnatomyQueryEngine::GroupAggregatePartial> got;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const CountQuery& q = queries[qi];
+      EXPECT_EQ(engine.GroupMatchCounts(q, scratch),
+                [&] {
+                  std::vector<uint64_t> counts(tables.num_groups(), 0);
+                  for (RowId r = 0; r < tables.num_rows(); ++r) {
+                    bool match = true;
+                    for (const AttributePredicate& p : q.qi_predicates) {
+                      match = match &&
+                              p.Matches(tables.qit().at(r, p.qi_index()));
+                    }
+                    if (match) ++counts[tables.group_of_row(r)];
+                  }
+                  return counts;
+                }())
+          << "pub=" << pi << " query=" << qi;
+      for (int measure = -1; measure < 4; ++measure) {
+        const bool need_sum = measure >= 0;
+        const size_t m = need_sum ? static_cast<size_t>(measure) : 0;
+        SCOPED_TRACE("pub=" + std::to_string(pi) +
+                     " query=" + std::to_string(qi) +
+                     " measure=" + std::to_string(measure));
+        const auto oracle = ScanSizeClassPartials(tables, q, need_sum, m);
+        engine.CollectSizeClassPartials(q, need_sum, m, scratch, &got);
+        EXPECT_TRUE(got == oracle);
+        const double value = FoldValue(oracle, need_sum);
+        AggregateQuery aq;
+        aq.predicates = q;
+        aq.kind = need_sum ? AggregateKind::kSum : AggregateKind::kCount;
+        aq.measure_qi = m;
+        EXPECT_EQ(uncached_est.Estimate(aq, scratch), value);
+        EXPECT_EQ(cached_est.Estimate(aq, scratch), value);
+        batch.push_back(aq);
+        want.push_back(value);
+      }
+    }
+    for (const AnatomyAggregateEstimator* est : {&cached_est, &uncached_est}) {
+      std::vector<double> batched(batch.size());
+      est->EstimateBatch(batch.data(), batch.size(), scratch, batched.data());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(batched[i], want[i]) << "pub=" << pi << " batch entry " << i;
+      }
+    }
   }
-  ASSERT_TRUE(simd::SetTier(simd::BestSupportedTier()));
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(estimator.Estimate(queries[i]), want[i]) << "query " << i;
+}
+
+TEST(BlockKernelTest, GroupsCarryTheirCountsAcrossBlocks) {
+  // Rows in QIT order, groups [0, 4090) [4090, 4100) [4100, 8200)
+  // [8200, 8292): so bit i is row i, and "Row" codes name single bits.
+  // Group 1 straddles the first block boundary and group 2 spans the
+  // second; the last block is partial, and n is no multiple of 64.
+  const std::vector<uint32_t> sizes = {4090, 10, 4100, 92};
+  RowId n = 0;
+  for (uint32_t size : sizes) n += size;
+  std::vector<AttributeDef> defs;
+  defs.push_back(MakeNumerical("Row", static_cast<Code>(n)));
+  defs.push_back(MakeNumerical("Value", 50, /*base=*/-20, /*step=*/7));
+  defs.push_back(MakeCategorical("Disease", 5));
+  Microdata md;
+  md.table = Table(std::make_shared<Schema>(std::move(defs)));
+  for (RowId r = 0; r < n; ++r) {
+    const Code row[3] = {static_cast<Code>(r), static_cast<Code>(r * 7 % 50),
+                         static_cast<Code>(r % 5)};
+    md.table.AppendRow(row);
   }
-  ASSERT_TRUE(simd::SetTier(original));
+  md.qi_columns = {0, 1};
+  md.sensitive_column = 2;
+  Partition partition;
+  RowId next = 0;
+  for (uint32_t size : sizes) {
+    partition.groups.emplace_back();
+    for (RowId r = next; r < next + size; ++r) {
+      partition.groups.back().push_back(r);
+    }
+    next += size;
+  }
+  auto built = AnatomizedTables::Build(md, partition);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const AnatomizedTables& tables = built.value();
+  EstimatorOptions uncached;
+  uncached.predcache.enabled = false;
+  const AnatomyQueryEngine engine(tables, uncached);
+  const AnatomyAggregateEstimator cached_est(tables);
+  EstimatorScratch scratch;
+
+  // Row sets whose matches end before a block without any: the block
+  // after must still close the group that straddles into it.
+  const std::vector<std::pair<Code, Code>> row_ranges = {
+      {4090, 4095}, {4085, 4093}, {4100, 8191}, {8150, 8200},
+      {8190, 8291}, {0, 4095},    {4096, 4099}, {4099, 8200}};
+  for (const auto& [lo, hi] : row_ranges) {
+    for (const AttributePredicate& sensitive :
+         {AttributePredicate(0, {1}), RangePredicate(0, 0, 4)}) {
+      CountQuery q;
+      q.sensitive_predicate = sensitive;
+      q.qi_predicates.push_back(RangePredicate(0, lo, hi));
+      std::vector<uint64_t> want_matches(sizes.size(), 0);
+      for (RowId r = static_cast<RowId>(lo); r <= static_cast<RowId>(hi);
+           ++r) {
+        ++want_matches[tables.group_of_row(r)];
+      }
+      EXPECT_EQ(engine.GroupMatchCounts(q, scratch), want_matches)
+          << "rows [" << lo << ", " << hi << "]";
+      for (bool need_sum : {false, true}) {
+        const auto oracle = ScanSizeClassPartials(tables, q, need_sum, 1);
+        std::vector<AnatomyQueryEngine::GroupAggregatePartial> got;
+        engine.CollectSizeClassPartials(q, need_sum, 1, scratch, &got);
+        EXPECT_TRUE(got == oracle)
+            << "rows [" << lo << ", " << hi << "] sum=" << need_sum;
+        AggregateQuery aq;
+        aq.predicates = q;
+        aq.kind = need_sum ? AggregateKind::kSum : AggregateKind::kCount;
+        aq.measure_qi = 1;
+        EXPECT_EQ(cached_est.Estimate(aq, scratch), FoldValue(oracle, need_sum))
+            << "rows [" << lo << ", " << hi << "] sum=" << need_sum;
+      }
+    }
+  }
 }
 
 TEST(PredicateCacheTest, KillSwitchBuildsNoCache) {
@@ -680,8 +894,7 @@ TEST(MemorySubstrateSweepTest, ArenaAndSummaryTogglesAreBitIdentical) {
 TEST(MemorySubstrateSweepTest, SummaryGuidedIterationVisitsIdenticalBits) {
   // Direct iteration-order check on adversarial bitmaps: clustered runs,
   // isolated bits, word boundaries. The guided walk must produce the same
-  // index sequence as the linear walk, for both full and ranged walks, and
-  // AndCountRange must be integer-identical.
+  // index sequence as the linear walk.
   const bool summary_before = Bitmap::SummaryEnabled();
   const size_t n = 5000;
   Bitmap sparse(n);
@@ -707,24 +920,6 @@ TEST(MemorySubstrateSweepTest, SummaryGuidedIterationVisitsIdenticalBits) {
   std::vector<size_t> linear;
   linear_conj.ForEachSetBit([&](size_t i) { linear.push_back(i); });
   EXPECT_EQ(guided, linear);
-
-  for (const auto& [lo, hi] :
-       std::vector<std::pair<size_t, size_t>>{{0, n},
-                                              {1, n - 1},
-                                              {60, 70},
-                                              {2000, 2400},
-                                              {2304, 4999},
-                                              {4999, 5000}}) {
-    std::vector<size_t> guided_range, linear_range;
-    conj.ForEachSetBitInRange(lo, hi,
-                              [&](size_t i) { guided_range.push_back(i); });
-    linear_conj.ForEachSetBitInRange(
-        lo, hi, [&](size_t i) { linear_range.push_back(i); });
-    EXPECT_EQ(guided_range, linear_range) << "[" << lo << ", " << hi << ")";
-    EXPECT_EQ(Bitmap::AndCountRange(conj, mask, lo, hi),
-              Bitmap::AndCountRange(linear_conj, mask, lo, hi))
-        << "[" << lo << ", " << hi << ")";
-  }
 
   Bitmap::SetSummaryEnabled(summary_before);
 }

@@ -133,36 +133,6 @@ TEST(BitmapIndexTest, RowOrderPermutesBitPositions) {
   EXPECT_TRUE(value.Test(2));
 }
 
-TEST(BitmapTest, RangeKernelsMatchNaiveCounts) {
-  Rng rng(99);
-  Bitmap a(513), b(513);
-  for (size_t i = 0; i < 513; ++i) {
-    if (rng.NextBounded(3) == 0) a.Set(i);
-    if (rng.NextBounded(2) == 0) b.Set(i);
-  }
-  for (int trial = 0; trial < 200; ++trial) {
-    size_t lo = static_cast<size_t>(rng.NextBounded(514));
-    size_t hi = static_cast<size_t>(rng.NextBounded(514));
-    if (lo > hi) std::swap(lo, hi);
-    uint64_t naive_a = 0, naive_and = 0;
-    std::vector<size_t> naive_bits;
-    for (size_t i = lo; i < hi; ++i) {
-      if (a.Test(i)) {
-        ++naive_a;
-        naive_bits.push_back(i);
-      }
-      if (a.Test(i) && b.Test(i)) ++naive_and;
-    }
-    EXPECT_EQ(a.CountRange(lo, hi), naive_a) << lo << ".." << hi;
-    EXPECT_EQ(Bitmap::AndCountRange(a, b, lo, hi), naive_and)
-        << lo << ".." << hi;
-    std::vector<size_t> kernel_bits;
-    a.ForEachSetBitInRange(lo, hi,
-                           [&](size_t i) { kernel_bits.push_back(i); });
-    EXPECT_EQ(kernel_bits, naive_bits) << lo << ".." << hi;
-  }
-}
-
 TEST(BitmapTest, AssignAndAndOrWithAndNot) {
   Bitmap a(130), b(130);
   a.Set(0);

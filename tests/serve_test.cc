@@ -171,6 +171,30 @@ TEST(SessionTest, AllowedButMissingPublicationIsNotFoundNotDenial) {
   EXPECT_EQ(session.stats().errors, 1u);
 }
 
+TEST(SessionTest, PredicateOnMissingColumnIsInvalidArgument) {
+  PublicationCatalog catalog;
+  AddPublication(&catalog, "occ", 2000, 3);  // d = 3
+  obs::FlightRecorder recorder;
+  TenantPolicy policy;
+  policy.publications = {"occ"};
+  Session session("analyst", policy, &catalog, &recorder);
+
+  // A predicate on a column the publication lacks is a typed error from
+  // the estimator, not a CHECK-abort in a node's bitmap index.
+  uint64_t errors = 0;
+  for (size_t column : {3u, 4u, 9u}) {
+    const Status status = session.Query("occ", CountOnColumn(column)).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << column;
+    EXPECT_EQ(session.last_denial(), obs::ReasonCode::kNone);
+    EXPECT_EQ(session.stats().errors, ++errors);
+  }
+  EXPECT_EQ(session.stats().answered, 0u);
+  // The session keeps serving.
+  auto answer = session.Query("occ", CountOnColumn(2));
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer.value().exact);
+}
+
 TEST(SessionTest, EpochBudgetDeniesNewEpochsAndChargesOnlyAnswers) {
   PublicationCatalog catalog;
   ServePublication* pub = AddPublication(&catalog, "occ", 2000, 5);

@@ -11,7 +11,8 @@
 #   tools/check_sanitizers.sh tsan         # one sanitizer only
 #   tools/check_sanitizers.sh faults       # both sanitizers, fault sweep only
 #   tools/check_sanitizers.sh obs          # both sanitizers, obs + query hammer
-#   tools/check_sanitizers.sh kernels      # both sanitizers, query kernels + cache
+#   tools/check_sanitizers.sh kernels      # both sanitizers, query kernels, cache,
+#                                          # node partials
 #   tools/check_sanitizers.sh sharded      # both sanitizers, sharded build + streaming
 #   tools/check_sanitizers.sh scaling      # both sanitizers, sharded cache + parallel path
 #   tools/check_sanitizers.sh chaos        # both sanitizers, dist serving + chaos sweep
@@ -47,12 +48,15 @@ if [[ $# -ge 1 ]]; then
       shift
       ;;
     kernels)
-      # The query-kernel smoke check: query_kernels_test pins the kernel
-      # paths to the scalar reference (and exercises cache eviction), while
-      # parallel_query_test's tiny-capacity cache hammer makes concurrent
-      # insert/evict/lease races visible to TSan and use-after-evict
-      # visible to ASan.
-      extra=(-R '^(query_kernels_test|parallel_query_test)$')
+      # The query-kernel smoke check: query_kernels_test pins the block
+      # kernel to the row-scan oracle and the scalar reference (and
+      # exercises cache eviction), while parallel_query_test's tiny-capacity
+      # cache hammer makes concurrent insert/evict/lease races visible to
+      # TSan and use-after-evict visible to ASan. The same kernel computes
+      # every node's partials, so dist_test and serve_test run it from the
+      # estimator's concurrent node computes.
+      extra=(-R
+        '^(query_kernels_test|parallel_query_test|dist_test|serve_test)$')
       shift
       ;;
     scaling)
