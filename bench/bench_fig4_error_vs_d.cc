@@ -22,8 +22,7 @@ void RunFamily(const Table& census, SensitiveFamily family,
     ErrorPoint point = ValueOrDie(
         MeasureErrors(published, /*qd=*/d, /*s=*/0.05,
                       static_cast<size_t>(config.queries),
-                      config.seed + static_cast<uint64_t>(d),
-                      config.predcache));
+                      config.seed + static_cast<uint64_t>(d)));
     printer.AddRow({std::to_string(d), FormatDouble(point.generalization_pct, 2),
                     FormatDouble(point.anatomy_pct, 2),
                     FormatDouble(point.estimator_qps, 0)});

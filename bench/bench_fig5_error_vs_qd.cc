@@ -22,8 +22,7 @@ void RunPanel(const Table& census, SensitiveFamily family, int d,
     ErrorPoint point = ValueOrDie(
         MeasureErrors(published, qd, /*s=*/0.05,
                       static_cast<size_t>(config.queries),
-                      config.seed + static_cast<uint64_t>(100 * d + qd),
-                      config.predcache));
+                      config.seed + static_cast<uint64_t>(100 * d + qd)));
     printer.AddRow({std::to_string(qd),
                     FormatDouble(point.generalization_pct, 2),
                     FormatDouble(point.anatomy_pct, 2),

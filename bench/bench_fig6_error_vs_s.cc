@@ -23,8 +23,7 @@ void RunPanel(const Table& census, SensitiveFamily family, int d,
   for (double s : kSelectivities) {
     ErrorPoint point = ValueOrDie(MeasureErrors(
         published, /*qd=*/d, s, static_cast<size_t>(config.queries),
-        config.seed + static_cast<uint64_t>(1000 * d + 100 * s),
-        config.predcache));
+        config.seed + static_cast<uint64_t>(1000 * d + 100 * s)));
     printer.AddRow({FormatPercent(s), FormatDouble(point.generalization_pct, 2),
                     FormatDouble(point.anatomy_pct, 2),
                     FormatDouble(point.estimator_qps, 0)});

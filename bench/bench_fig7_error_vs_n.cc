@@ -24,8 +24,7 @@ void RunFamily(const Table& census, SensitiveFamily family,
         Publish(std::move(dataset), static_cast<int>(config.l), config.seed));
     ErrorPoint point = ValueOrDie(
         MeasureErrors(published, /*qd=*/5, /*s=*/0.05,
-                      static_cast<size_t>(config.queries), config.seed + n,
-                      config.predcache));
+                      static_cast<size_t>(config.queries), config.seed + n));
     printer.AddRow({FormatCount(n), FormatDouble(point.generalization_pct, 2),
                     FormatDouble(point.anatomy_pct, 2),
                     FormatDouble(point.estimator_qps, 0)});

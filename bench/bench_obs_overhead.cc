@@ -31,7 +31,7 @@ constexpr int kRepetitions = 3;
 
 double BestOfRuns(ParallelRunner& runner, const AnatomyEstimator& estimator,
                   const std::vector<CountQuery>& queries) {
-  runner.EstimateAll(estimator, queries);  // warm worker arenas
+  runner.EstimateAll(estimator, queries);  // warm worker scratches
   double best = 0.0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     const double seconds =

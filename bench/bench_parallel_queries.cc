@@ -40,14 +40,12 @@ void Run(const BenchConfig& config) {
   ParallelRunner materializer(ParallelRunnerOptions{.num_threads = 1});
   MaterializedWorkload workload =
       ValueOrDie(materializer.Materialize(md, exact, options));
-  EstimatorOptions est_options;
-  est_options.predcache.enabled = config.predcache;
-  AnatomyEstimator estimator(published.anatomized, est_options);
+  AnatomyEstimator estimator(published.anatomized);
 
   // Single-thread reference pass: the parity baseline and the denominator
   // of every speedup figure.
   ParallelRunner single(ParallelRunnerOptions{.num_threads = 1});
-  single.EstimateAll(estimator, workload.queries);  // warm caches/arenas
+  single.EstimateAll(estimator, workload.queries);  // warm scratches
   std::vector<double> reference;
   const double base_seconds = TimeSeconds(
       [&] { reference = single.EstimateAll(estimator, workload.queries); });
@@ -66,7 +64,7 @@ void Run(const BenchConfig& config) {
                         "p99 (us)", "est/s (hist)", "bit-identical"});
   for (size_t threads : {1, 2, 4, 8}) {
     ParallelRunner runner(ParallelRunnerOptions{.num_threads = threads});
-    runner.EstimateAll(estimator, workload.queries);  // warm worker arenas
+    runner.EstimateAll(estimator, workload.queries);  // warm worker scratches
     if (latency_ns != nullptr) latency_ns->Reset();
     std::vector<double> estimates;
     const double seconds = TimeSeconds(

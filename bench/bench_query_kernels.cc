@@ -1,23 +1,25 @@
-// Group-clustered query kernels vs the scalar reference path: single- and
+// Group-clustered query kernel vs the scalar reference path: single- and
 // multi-threaded COUNT/SUM throughput on a range-predicate workload
-// (n = 500k, qd = 4 by default — the acceptance configuration), plus the
-// predicate-bitmap cache's hit rate on a Section-6 style replay.
+// (n = 500k, qd = 4 by default — the acceptance configuration).
 //
 // Every timed pass self-checks: kernel estimates must match the scalar
-// reference within 1e-9 relative, and the cached path must be bit-identical
-// to the uncached kernel path. Any violation exits nonzero.
+// reference within 1e-9 relative. Any violation exits nonzero.
 //
 // Results are also written as JSON (--json_out, default
 // BENCH_query_kernels.json): one record per (aggregate, path, threads) with
 // queries/s, rows/s, speedup vs the same path at 1 thread, and the p50/p99
 // of the `query.latency_ns` histogram for exactly that run (the histogram
-// is reset before each timed section). The artifact records
-// "hardware_threads"; on hosts with >= 8 hardware threads the bench
-// additionally enforces >= 3x COUNT throughput at 8 threads vs 1
-// (kernel+cache path) and exits nonzero below that — on
-// smaller hosts the gate is skipped with a loud warning, because
-// multi-threaded rows there measure oversubscription, not scaling.
+// is reset before each timed section). Three more gates exit nonzero:
+//   - kernel COUNT at 8 worker threads must reach 3 x min(8, hardware
+//     threads) / 8 times its 1-thread rate (3x on an 8-thread host; the
+//     artifact records "hardware_threads" and the bar it was held to);
+//   - the summary-guided sparse COUNT sweep must beat the linear walk by
+//     >= 1.3x;
+//   - after warmup, the one-query Estimate() replay loop must make zero
+//     heap allocations (counted by the bench's operator new hook, which
+//     sanitizer builds compile out).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,7 +29,6 @@
 
 #include "anatomy/anatomizer.h"
 #include "bench_util.h"
-#include "common/arena.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/printer.h"
@@ -50,10 +51,8 @@ struct KernelBenchConfig {
   double s = 0.05;
   int64_t l = 10;
   int64_t seed = 42;
-  /// Passes over the workload per timed section (also what makes the cache
-  /// hit rate meaningful: first pass misses, later passes hit).
+  /// Passes over the workload per timed section.
   int64_t replays = 12;
-  int64_t predcache_capacity = 4096;
   bool range_predicates = true;
   std::string json_out = "BENCH_query_kernels.json";
 };
@@ -65,7 +64,7 @@ struct PathSpec {
 
 struct TimedRun {
   std::string aggregate;  // "count" or "sum"
-  std::string path;       // "scalar" / "kernel" / "kernel+cache"
+  std::string path;       // "scalar" / "kernel"
   size_t threads = 0;
   double qps = 0.0;
   double rows_per_s = 0.0;
@@ -205,15 +204,11 @@ void Run(const KernelBenchConfig& config) {
     sum_queries[i].measure_qi = 0;
   }
 
-  PredicateCacheOptions cache_on;
-  cache_on.enabled = true;
-  cache_on.capacity = static_cast<size_t>(config.predcache_capacity);
-  PredicateCacheOptions cache_off;
-  cache_off.enabled = false;
+  EstimatorOptions scalar_options;
+  scalar_options.mode = KernelMode::kScalar;
   const PathSpec paths[] = {
-      {"scalar", {KernelMode::kScalar, cache_off}},
-      {"kernel", {KernelMode::kGroupClustered, cache_off}},
-      {"kernel+cache", {KernelMode::kGroupClustered, cache_on}},
+      {"scalar", scalar_options},
+      {"kernel", EstimatorOptions{}},
   };
 
   obs::Histogram* latency_ns =
@@ -228,14 +223,14 @@ void Run(const KernelBenchConfig& config) {
   std::vector<TimedRun> runs;
   // reference[aggregate] at 1 thread, per path, for the self-check and the
   // printed single-thread speedups.
-  std::vector<double> count_ref_scalar, count_ref_kernel;
-  std::vector<double> sum_ref_scalar, sum_ref_kernel;
-  double count_qps_1t[3] = {0, 0, 0};
-  double sum_qps_1t[3] = {0, 0, 0};
+  std::vector<double> count_ref_scalar;
+  std::vector<double> sum_ref_scalar;
+  double count_qps_1t[2] = {0, 0};
+  double sum_qps_1t[2] = {0, 0};
 
   TablePrinter printer({"aggregate", "path", "threads", "queries/s", "rows/s",
                         "vs 1t", "p50 (us)", "p99 (us)"});
-  for (size_t p = 0; p < 3; ++p) {
+  for (size_t p = 0; p < 2; ++p) {
     AnatomyEstimator estimator(anatomized, paths[p].options);
     AnatomyAggregateEstimator agg_estimator(anatomized, paths[p].options);
     for (size_t threads : kThreadCounts) {
@@ -251,7 +246,7 @@ void Run(const KernelBenchConfig& config) {
                 return agg_estimator.Estimate(sum_queries[i], scratch);
               });
         };
-        std::vector<double> estimates = pass();  // warm arenas + cache
+        std::vector<double> estimates = pass();  // warm the scratches
         if (latency_ns != nullptr) latency_ns->Reset();
         const double seconds = TimeSeconds([&] {
           for (int64_t r = 0; r < config.replays; ++r) estimates = pass();
@@ -278,62 +273,20 @@ void Run(const KernelBenchConfig& config) {
                         FormatDouble(static_cast<double>(run.p99_ns) / 1e3, 1)});
 
         if (threads == 1) {
-          if (p == 0) (is_sum ? sum_ref_scalar : count_ref_scalar) = estimates;
-          if (p == 1) (is_sum ? sum_ref_kernel : count_ref_kernel) = estimates;
-          if (p >= 1) {
-            // Kernel paths must match the scalar reference within 1e-9.
-            const std::vector<double>& scalar_ref =
-                is_sum ? sum_ref_scalar : count_ref_scalar;
-            const double rel = MaxRelDiff(scalar_ref, estimates);
-            if (rel > 1e-9) {
-              std::fprintf(stderr,
-                           "FATAL: %s/%s diverges from scalar reference "
-                           "(max relative diff %.3e > 1e-9)\n",
-                           run.aggregate.c_str(), run.path.c_str(), rel);
-              std::exit(1);
-            }
-          }
-          if (p == 2) {
-            // The cache must never change a bit, only the time.
-            const std::vector<double>& kernel_ref =
-                is_sum ? sum_ref_kernel : count_ref_kernel;
-            for (size_t i = 0; i < estimates.size(); ++i) {
-              if (estimates[i] != kernel_ref[i]) {
-                std::fprintf(stderr,
-                             "FATAL: cached %s estimate %zu differs from "
-                             "uncached kernel path\n",
-                             run.aggregate.c_str(), i);
-                std::exit(1);
-              }
-            }
+          std::vector<double>& scalar_ref =
+              is_sum ? sum_ref_scalar : count_ref_scalar;
+          if (p == 0) scalar_ref = estimates;
+          // The kernel must match the scalar reference within 1e-9.
+          const double rel = MaxRelDiff(scalar_ref, estimates);
+          if (rel > 1e-9) {
+            std::fprintf(stderr,
+                         "FATAL: %s/%s diverges from scalar reference "
+                         "(max relative diff %.3e > 1e-9)\n",
+                         run.aggregate.c_str(), run.path.c_str(), rel);
+            std::exit(1);
           }
         }
       }
-    }
-  }
-
-  // Cache hit rate on a fresh estimator: first replay misses every distinct
-  // QI predicate, the remaining replays hit, so the expected rate is
-  // (replays - 1) / replays when the working set fits the capacity.
-  double hit_rate = 0.0;
-  uint64_t hits_delta = 0, misses_delta = 0;
-  {
-    AnatomyEstimator fresh(anatomized, paths[2].options);
-    obs::Counter* hits =
-        obs::MetricRegistry::Global().GetCounter("query.predcache.hits");
-    obs::Counter* misses =
-        obs::MetricRegistry::Global().GetCounter("query.predcache.misses");
-    const uint64_t h0 = hits->value();
-    const uint64_t m0 = misses->value();
-    ParallelRunner runner(ParallelRunnerOptions{.num_threads = 1});
-    for (int64_t r = 0; r < config.replays; ++r) {
-      runner.EstimateAll(fresh, queries);
-    }
-    hits_delta = hits->value() - h0;
-    misses_delta = misses->value() - m0;
-    if (hits_delta + misses_delta > 0) {
-      hit_rate = static_cast<double>(hits_delta) /
-                 static_cast<double>(hits_delta + misses_delta);
     }
   }
 
@@ -344,32 +297,26 @@ void Run(const KernelBenchConfig& config) {
       &sparse_speedup);
 
   // ---- Steady-state allocation audit: after warmup, the single-arg
-  // Estimate() replay loop (pool-leased scratch, warm predicate cache) must
-  // take zero arena allocations — every container has reached its
-  // capacity-retained steady state. ----
-  uint64_t steady_arena_allocs = 0;
+  // Estimate() replay loop (pool-leased scratch) must make zero heap
+  // allocations — every container has reached its capacity-retained
+  // steady state. ----
   uint64_t steady_mallocs = 0;
   double steady_sink = 0.0;
   {
-    AnatomyEstimator steady(anatomized, paths[2].options);
+    AnatomyEstimator steady(anatomized);
     for (int warm = 0; warm < 2; ++warm) {
       for (const CountQuery& q : queries) steady_sink += steady.Estimate(q);
     }
-    const uint64_t arena0 =
-        arena::CompiledIn() ? arena::Arena::Global().Stats().allocs : 0;
     const uint64_t malloc0 = MallocCount();
     for (int64_t r = 0; r < config.replays; ++r) {
       for (const CountQuery& q : queries) steady_sink += steady.Estimate(q);
     }
     steady_mallocs = MallocCount() - malloc0;
-    steady_arena_allocs =
-        (arena::CompiledIn() ? arena::Arena::Global().Stats().allocs : 0) -
-        arena0;
-    if (arena::CompiledIn() && arena::Enabled() && steady_arena_allocs != 0) {
+    if (MallocCountAvailable() && steady_mallocs != 0) {
       std::fprintf(stderr,
-                   "FATAL: steady-state replay loop took %llu arena "
+                   "FATAL: steady-state replay loop made %llu heap "
                    "allocations (expected 0) — scratch reuse has regressed\n",
-                   static_cast<unsigned long long>(steady_arena_allocs));
+                   static_cast<unsigned long long>(steady_mallocs));
       std::exit(1);
     }
   }
@@ -383,40 +330,30 @@ void Run(const KernelBenchConfig& config) {
       config.range_predicates ? "range" : "point", hardware_threads);
   printer.Print();
 
-  // ---- Thread-scaling gate: only meaningful when the cores exist. ----
+  // ---- Thread-scaling gate: 3x at 8 workers on 8 hardware threads, the
+  // same share of it on fewer. ----
   double count_scaling_8t = 0.0;
   for (const TimedRun& r : runs) {
-    if (r.aggregate == "count" && r.path == "kernel+cache" && r.threads == 8) {
+    if (r.aggregate == "count" && r.path == "kernel" && r.threads == 8) {
       count_scaling_8t = r.speedup_vs_1t;
     }
   }
-  if (hardware_threads >= 8) {
-    if (count_scaling_8t < 3.0) {
-      std::fprintf(stderr,
-                   "FATAL: COUNT (kernel+cache) 8-thread throughput is only "
-                   "%.2fx the 1-thread rate on a %u-thread host (>= 3x "
-                   "required) — the query path has re-contended\n",
-                   count_scaling_8t, hardware_threads);
-      std::exit(1);
-    }
-    std::printf("COUNT 8-thread scaling %.2fx (>= 3x required): OK\n",
-                count_scaling_8t);
-  } else {
-    std::printf(
-        "WARNING: host has %u hardware thread(s) < 8; the >= 3x COUNT "
-        "scaling assertion is SKIPPED (measured %.2fx at 8 worker threads). "
-        "Bit-identity self-checks above still ran and passed.\n",
-        hardware_threads, count_scaling_8t);
+  const double scaling_required =
+      3.0 * static_cast<double>(std::min(8u, hardware_threads)) / 8.0;
+  if (count_scaling_8t < scaling_required) {
+    std::fprintf(stderr,
+                 "FATAL: kernel COUNT 8-thread throughput is only %.2fx the "
+                 "1-thread rate on a %u-thread host (>= %.2fx required) — "
+                 "the query path has re-contended\n",
+                 count_scaling_8t, hardware_threads, scaling_required);
+    std::exit(1);
   }
+  std::printf("kernel COUNT 8-thread scaling %.2fx (>= %.2fx required): OK\n",
+              count_scaling_8t, scaling_required);
   std::printf(
-      "\nsingle-thread speedup over scalar: COUNT %.2fx (kernel), %.2fx "
-      "(kernel+cache); SUM %.2fx (kernel), %.2fx (kernel+cache)\n",
-      count_qps_1t[1] / count_qps_1t[0], count_qps_1t[2] / count_qps_1t[0],
-      sum_qps_1t[1] / sum_qps_1t[0], sum_qps_1t[2] / sum_qps_1t[0]);
-  std::printf(
-      "predicate cache replay: %llu hits / %llu misses -> %.1f%% hit rate\n",
-      static_cast<unsigned long long>(hits_delta),
-      static_cast<unsigned long long>(misses_delta), hit_rate * 100.0);
+      "\nsingle-thread speedup of the kernel over scalar: COUNT %.2fx, "
+      "SUM %.2fx\n",
+      count_qps_1t[1] / count_qps_1t[0], sum_qps_1t[1] / sum_qps_1t[0]);
 
   // ---- Low-selectivity sweep report + acceptance gate. ----
   std::printf("\nlow-selectivity COUNT sweep (occupancy summary off vs on):\n");
@@ -441,14 +378,12 @@ void Run(const KernelBenchConfig& config) {
               sparse_speedup);
 
   std::printf(
-      "steady-state replay (%lld passes, checksum %.3e): %llu arena "
-      "allocations (0 required%s), %llu heap allocations%s\n",
+      "steady-state replay (%lld passes, checksum %.3e): %llu heap "
+      "allocations (0 required%s)\n",
       static_cast<long long>(config.replays), steady_sink,
-      static_cast<unsigned long long>(steady_arena_allocs),
-      arena::CompiledIn() && arena::Enabled() ? ", enforced"
-                                              : "; arena off, not enforced",
       static_cast<unsigned long long>(steady_mallocs),
-      MallocCountAvailable() ? "" : " (hook unavailable in this build)");
+      MallocCountAvailable() ? ", enforced"
+                             : "; hook unavailable in this build");
 
   if (!config.json_out.empty()) {
     std::ofstream os(config.json_out);
@@ -479,33 +414,20 @@ void Run(const KernelBenchConfig& config) {
     if (single_core) {
       std::snprintf(buf, sizeof buf,
                     "  \"count_scaling_8t_vs_1t\": null,\n"
-                    "  \"invalid_single_core\": true,\n"
-                    "  \"scaling_gate\": \"%s\",\n",
-                    hardware_threads >= 8 ? "enforced" : "skipped_single_core");
+                    "  \"invalid_single_core\": true,\n");
     } else {
       std::snprintf(buf, sizeof buf,
                     "  \"count_scaling_8t_vs_1t\": %.3f,\n"
-                    "  \"invalid_single_core\": false,\n"
-                    "  \"scaling_gate\": \"%s\",\n",
-                    count_scaling_8t,
-                    hardware_threads >= 8 ? "enforced" : "skipped_single_core");
+                    "  \"invalid_single_core\": false,\n",
+                    count_scaling_8t);
     }
     os << buf;
     std::snprintf(buf, sizeof buf,
-                  "  \"count_speedup_1t\": {\"kernel\": %.3f, "
-                  "\"kernel_cache\": %.3f},\n"
-                  "  \"sum_speedup_1t\": {\"kernel\": %.3f, "
-                  "\"kernel_cache\": %.3f},\n",
-                  count_qps_1t[1] / count_qps_1t[0],
-                  count_qps_1t[2] / count_qps_1t[0],
-                  sum_qps_1t[1] / sum_qps_1t[0],
-                  sum_qps_1t[2] / sum_qps_1t[0]);
-    os << buf;
-    std::snprintf(buf, sizeof buf,
-                  "  \"predcache\": {\"hits\": %llu, \"misses\": %llu, "
-                  "\"hit_rate\": %.4f},\n",
-                  static_cast<unsigned long long>(hits_delta),
-                  static_cast<unsigned long long>(misses_delta), hit_rate);
+                  "  \"count_scaling_required\": %.3f,\n"
+                  "  \"count_speedup_1t\": {\"kernel\": %.3f},\n"
+                  "  \"sum_speedup_1t\": {\"kernel\": %.3f},\n",
+                  scaling_required, count_qps_1t[1] / count_qps_1t[0],
+                  sum_qps_1t[1] / sum_qps_1t[0]);
     os << buf;
     os << "  \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -546,12 +468,11 @@ void Run(const KernelBenchConfig& config) {
     os << "  ],\n";
     std::snprintf(buf, sizeof buf,
                   "  \"sparse_speedup\": %.3f,\n"
-                  "  \"steady_state\": {\"arena_allocs\": %llu, "
-                  "\"heap_allocs\": %llu, \"zero_alloc_enforced\": %s},\n",
+                  "  \"steady_state\": {\"heap_allocs\": %llu, "
+                  "\"zero_alloc_enforced\": %s},\n",
                   sparse_speedup,
-                  static_cast<unsigned long long>(steady_arena_allocs),
                   static_cast<unsigned long long>(steady_mallocs),
-                  arena::CompiledIn() && arena::Enabled() ? "true" : "false");
+                  MallocCountAvailable() ? "true" : "false");
     os << buf;
     os << "  \"memory\": " << MemoryJson(2) << "\n}\n";
     std::printf("(results written to %s)\n", config.json_out.c_str());
@@ -574,8 +495,6 @@ int main(int argc, char** argv) {
   parser.AddInt64("l", &config.l, "l-diversity parameter");
   parser.AddInt64("seed", &config.seed, "master RNG seed");
   parser.AddInt64("replays", &config.replays, "passes per timed section");
-  parser.AddInt64("predcache_capacity", &config.predcache_capacity,
-                  "predicate-bitmap cache capacity (entries)");
   parser.AddBool("range_predicates", &config.range_predicates,
                  "interval predicates (single prefix-OR run each)");
   parser.AddString("json_out", &config.json_out,
@@ -588,8 +507,8 @@ int main(int argc, char** argv) {
   }
   if (parser.help_requested()) {
     std::printf(
-        "bench_query_kernels: group-clustered kernels vs the scalar "
-        "reference, plus predicate-cache hit rate\n%s",
+        "bench_query_kernels: the group-clustered kernel vs the scalar "
+        "reference\n%s",
         parser.Usage(argv[0]).c_str());
     return 0;
   }

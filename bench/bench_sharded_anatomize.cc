@@ -84,7 +84,7 @@ int RunAllocProbe(const ShardedBenchConfig& config) {
       MakeExperimentDataset(census, SensitiveFamily::kOccupation, 5));
   // One worker thread: with concurrent workers the peak live footprint
   // depends on scheduling interleave (tens of MiB of run-to-run noise on a
-  // loaded host), which would drown the heap-vs-arena comparison.
+  // loaded host), which would drown the comparison between builds.
   ShardedAnatomizer anatomizer(ShardedAnatomizerOptions{
       .l = static_cast<int>(config.l),
       .seed = static_cast<uint64_t>(config.seed),

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "anatomy/anatomizer.h"
-#include "common/arena.h"
 #include "common/stopwatch.h"
 #include "generalization/mondrian.h"
 #include "obs/metrics.h"
@@ -25,8 +24,6 @@ BenchConfig ParseBenchFlags(int argc, char** argv, const std::string& banner) {
   parser.AddInt64("seed", &config.seed, "master RNG seed");
   parser.AddBool("paper", &config.paper,
                  "full Table 7 scale: n = 300k (sweeps to 500k), 10k queries");
-  parser.AddBool("predcache", &config.predcache,
-                 "predicate-bitmap cache (--predcache=false disables it)");
   parser.AddString("csv_dir", &config.csv_dir,
                    "also write each series as <dir>/<figure>.csv");
   parser.AddString("metrics_out", &config.metrics_out,
@@ -89,19 +86,17 @@ StatusOr<PublishedDataset> Publish(ExperimentDataset dataset, int l,
 }
 
 StatusOr<ErrorPoint> MeasureErrors(const PublishedDataset& published, int qd,
-                                   double s, size_t num_queries, uint64_t seed,
-                                   bool predcache) {
+                                   double s, size_t num_queries,
+                                   uint64_t seed) {
   WorkloadOptions options;
   options.qd = qd;
   options.s = s;
   options.num_queries = num_queries;
   options.seed = seed;
-  RunnerOptions runner_options;
-  runner_options.estimator.predcache.enabled = predcache;
   ANATOMY_ASSIGN_OR_RETURN(
       WorkloadResult result,
       RunWorkload(published.dataset.microdata, published.anatomized,
-                  published.generalized, options, runner_options));
+                  published.generalized, options));
   ErrorPoint point;
   point.generalization_pct = result.generalization_error * 100.0;
   point.anatomy_pct = result.anatomy_error * 100.0;
@@ -241,41 +236,17 @@ bool MallocCountAvailable() { return internal::g_malloc_hook_active; }
 
 std::string MemoryJson(int indent) {
   const std::string pad(static_cast<size_t>(indent), ' ');
-  const arena::ArenaStats stats = arena::CompiledIn()
-                                      ? arena::Arena::Global().Stats()
-                                      : arena::ArenaStats{};
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "%s  \"peak_rss_bytes\": %llu,\n"
-      "%s  \"malloc_count\": %llu,\n"
-      "%s  \"malloc_count_available\": %s,\n"
-      "%s  \"arena\": {\n"
-      "%s    \"compiled_in\": %s,\n"
-      "%s    \"enabled\": %s,\n"
-      "%s    \"allocs\": %llu,\n"
-      "%s    \"frees\": %llu,\n"
-      "%s    \"fallback_allocs\": %llu,\n"
-      "%s    \"bytes_in_use\": %llu,\n"
-      "%s    \"bytes_highwater\": %llu,\n"
-      "%s    \"slabs_in_use\": %llu,\n"
-      "%s    \"pages_committed\": %llu\n"
-      "%s  }\n"
-      "%s}",
-      pad.c_str(), static_cast<unsigned long long>(PeakRssBytes()),
-      pad.c_str(), static_cast<unsigned long long>(MallocCount()),
-      pad.c_str(), MallocCountAvailable() ? "true" : "false", pad.c_str(),
-      pad.c_str(), arena::CompiledIn() ? "true" : "false", pad.c_str(),
-      arena::Enabled() ? "true" : "false", pad.c_str(),
-      static_cast<unsigned long long>(stats.allocs), pad.c_str(),
-      static_cast<unsigned long long>(stats.frees), pad.c_str(),
-      static_cast<unsigned long long>(stats.fallback_allocs), pad.c_str(),
-      static_cast<unsigned long long>(stats.bytes_in_use), pad.c_str(),
-      static_cast<unsigned long long>(stats.bytes_highwater), pad.c_str(),
-      static_cast<unsigned long long>(stats.slabs_in_use), pad.c_str(),
-      static_cast<unsigned long long>(stats.pages_committed), pad.c_str(),
-      pad.c_str());
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\n"
+                "%s  \"peak_rss_bytes\": %llu,\n"
+                "%s  \"malloc_count\": %llu,\n"
+                "%s  \"malloc_count_available\": %s\n"
+                "%s}",
+                pad.c_str(), static_cast<unsigned long long>(PeakRssBytes()),
+                pad.c_str(), static_cast<unsigned long long>(MallocCount()),
+                pad.c_str(), MallocCountAvailable() ? "true" : "false",
+                pad.c_str());
   return std::string(buf);
 }
 

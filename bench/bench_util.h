@@ -37,8 +37,6 @@ struct BenchConfig {
   int64_t seed = 42;
   /// Full paper scale (n = 300k / 100k..500k sweeps, 10k queries).
   bool paper = false;
-  /// Predicate-bitmap cache kill switch (--predcache=false disables it).
-  bool predcache = true;
   /// When non-empty, every printed series is also written to
   /// <csv_dir>/<figure>.csv for plotting.
   std::string csv_dir;
@@ -83,8 +81,8 @@ struct ErrorPoint {
 };
 
 StatusOr<ErrorPoint> MeasureErrors(const PublishedDataset& published, int qd,
-                                   double s, size_t num_queries, uint64_t seed,
-                                   bool predcache = true);
+                                   double s, size_t num_queries,
+                                   uint64_t seed);
 
 /// Aborts with the status message if not OK (bench binaries have no caller
 /// to propagate to).
@@ -161,10 +159,9 @@ uint64_t MallocCount();
 bool MallocCountAvailable();
 
 /// One JSON object literal (no trailing newline) with this process's memory
-/// accounting: peak RSS, heap-allocation count when the hook is available,
-/// and the global arena's counter snapshot. Every BENCH_*.json embeds it
-/// under a "memory" key; `indent` is the number of leading spaces on each
-/// line after the first.
+/// accounting: peak RSS and the heap-allocation count when the hook is
+/// available. Every BENCH_*.json embeds it under a "memory" key; `indent` is
+/// the number of leading spaces on each line after the first.
 std::string MemoryJson(int indent);
 
 }  // namespace bench

@@ -1,18 +1,14 @@
-// Fixed-size-allocator support: a 3-level hierarchical bitset with a
-// 32 -> 1024 -> 32768 fan-out, modeled on xvmem's external FSA page
-// strategy. One u32 root word indexes up to 32 level-1 words, each level-1
-// bit indexes one level-2 (leaf) word, each leaf bit is one tracked slot —
-// so find-first-set over up to 32768 slots is three countr_zero steps, and
-// iteration skips empty 32-slot and 1024-slot runs without touching their
-// words.
+// A 3-level hierarchical bitset with a 32 -> 1024 -> 32768 fan-out,
+// modeled on xvmem's external fixed-size-allocator page strategy. One u32
+// root word indexes up to 32 level-1 words, each level-1 bit indexes one
+// level-2 (leaf) word, each leaf bit is one tracked slot — so find-first-set
+// over up to 32768 slots is three countr_zero steps, and iteration skips
+// empty 32-slot and 1024-slot runs without touching their words.
 //
-// Two consumers share this structure (see DESIGN.md §11):
-//   - the arena's per-page slab free-lists (bit set = slot free), and
-//   - the Bitmap word-occupancy summaries behind sparse set-bit iteration
-//     (bit set = 64-bit bitmap word nonzero).
+// Its one consumer is the Bitmap word-occupancy summary behind sparse
+// set-bit iteration (bit set = 64-bit bitmap word nonzero).
 //
-// Not thread-safe; each instance is guarded by its owner (the arena holds
-// its size-class mutex, a Bitmap summary is confined to the bitmap).
+// Not thread-safe; a Bitmap summary is confined to its bitmap.
 
 #ifndef ANATOMY_COMMON_FSA_H_
 #define ANATOMY_COMMON_FSA_H_
@@ -118,9 +114,7 @@ class HierBitset {
   uint32_t n2_ = 0;
   uint32_t n1_ = 0;
   uint32_t l0_ = 0;
-  /// [l1 words | leaf words]. Plain heap storage on purpose: the arena's
-  /// own free-lists live here, so routing this through the arena would
-  /// recurse.
+  /// [l1 words | leaf words].
   std::vector<uint32_t> store_;
 };
 

@@ -51,11 +51,7 @@ Status DistNode::Activate(const StorageManifest& manifest, uint64_t epoch,
         std::to_string(tables.num_groups()));
   }
   tables_ = std::make_unique<AnatomizedTables>(std::move(tables));
-  // No predicate cache: scatter-gather traffic rarely repeats a predicate,
-  // and a cache would keep a bitmap of every one it saw.
-  EstimatorOptions engine_options;
-  engine_options.predcache.enabled = false;
-  engine_ = std::make_unique<AnatomyQueryEngine>(*tables_, engine_options);
+  engine_ = std::make_unique<AnatomyQueryEngine>(*tables_, EstimatorOptions{});
   manifest_ = manifest;
   epoch_ = epoch;
   group_count_ = group_count;

@@ -15,29 +15,23 @@ StatusOr<Code> DecodeBoundary(const AttributeDef& attr, const std::string& text,
   for (size_t i = 0; i < attr.labels.size(); ++i) {
     if (attr.labels[i] == text) return static_cast<Code>(i);
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("line " + std::to_string(line) +
-                                   ": cannot parse '" + text + "' for " +
-                                   attr.name);
-  }
-  long long code = parsed;
-  if (attr.kind == AttributeKind::kNumerical) {
-    const long long offset = parsed - attr.numeric_base;
-    if (attr.numeric_step == 0 || offset % attr.numeric_step != 0) {
+  Code code = 0;
+  switch (DecodeInteger(attr, text, &code)) {
+    case IntegerDecode::kOk:
+      return code;
+    case IntegerDecode::kNotAnInteger:
+      return Status::InvalidArgument("line " + std::to_string(line) +
+                                     ": cannot parse '" + text + "' for " +
+                                     attr.name);
+    case IntegerDecode::kOffGrid:
       return Status::InvalidArgument("line " + std::to_string(line) +
                                      ": value " + text +
                                      " off the grid of " + attr.name);
-    }
-    code = offset / attr.numeric_step;
+    case IntegerDecode::kOutOfDomain:
+      break;
   }
-  if (code < 0 || code >= attr.domain_size) {
-    return Status::OutOfRange("line " + std::to_string(line) + ": value " +
-                              text + " outside the domain of " + attr.name);
-  }
-  return static_cast<Code>(code);
+  return Status::OutOfRange("line " + std::to_string(line) + ": value " +
+                            text + " outside the domain of " + attr.name);
 }
 
 /// Decodes a cell field: "value" or "lo..hi".

@@ -60,34 +60,6 @@ double AnatomyAggregateEstimator::Estimate(const AggregateQuery& query,
   return 0.0;
 }
 
-void AnatomyAggregateEstimator::EstimateBatch(const AggregateQuery* queries,
-                                              size_t count,
-                                              EstimatorScratch& scratch,
-                                              double* results) const {
-  std::vector<AnatomyQueryEngine::BatchQuery> batch(count);
-  for (size_t i = 0; i < count; ++i) {
-    batch[i].query = &queries[i].predicates;
-    batch[i].need_sum = queries[i].kind != AggregateKind::kCount;
-    batch[i].measure_qi = queries[i].measure_qi;
-  }
-  std::vector<AnatomyQueryEngine::CountSum> out(count);
-  engine_.EstimateCountSumBatch(batch.data(), count, scratch, out.data());
-  for (size_t i = 0; i < count; ++i) {
-    const AnatomyQueryEngine::CountSum& cs = out[i];
-    switch (queries[i].kind) {
-      case AggregateKind::kCount:
-        results[i] = cs.count;
-        break;
-      case AggregateKind::kSum:
-        results[i] = cs.sum;
-        break;
-      case AggregateKind::kAvg:
-        results[i] = cs.count == 0.0 ? 0.0 : cs.sum / cs.count;
-        break;
-    }
-  }
-}
-
 // --------------------------------------------------------- generalization --
 
 GeneralizationAggregateEstimator::GeneralizationAggregateEstimator(

@@ -43,8 +43,7 @@ struct AggregateQuery {
 double ExactAggregate(const Microdata& microdata, const AggregateQuery& query);
 
 /// Aggregate estimation from anatomized tables. Immutable after
-/// construction (the predicate cache is internally synchronized); safe to
-/// share across threads. Delegates to AnatomyQueryEngine, so COUNT answers
+/// construction; safe to share across threads. Delegates to AnatomyQueryEngine, so COUNT answers
 /// are bit-identical to AnatomyEstimator's under the same options.
 class AnatomyAggregateEstimator {
  public:
@@ -54,17 +53,10 @@ class AnatomyAggregateEstimator {
   /// Re-entrant core: all per-call state lives in `scratch`.
   double Estimate(const AggregateQuery& query, EstimatorScratch& scratch) const;
 
-  /// Thread-safe convenience: borrows an arena from an internal pool.
+  /// Thread-safe convenience: borrows a scratch from an internal pool.
   double Estimate(const AggregateQuery& query) const {
     return Estimate(query, *scratch_pool_.Acquire());
   }
-
-  /// Batched estimates: results[i] is bit-identical to
-  /// Estimate(queries[i], scratch), but each distinct predicate in the
-  /// batch is materialized once (see
-  /// AnatomyQueryEngine::EstimateCountSumBatch).
-  void EstimateBatch(const AggregateQuery* queries, size_t count,
-                     EstimatorScratch& scratch, double* results) const;
 
   /// Exact rows matching the QI predicates per group (property-test hook).
   std::vector<uint64_t> GroupMatchCounts(const CountQuery& query) const {
@@ -88,7 +80,7 @@ class GeneralizationAggregateEstimator {
   /// Re-entrant core: all per-call state lives in `scratch`.
   double Estimate(const AggregateQuery& query, EstimatorScratch& scratch) const;
 
-  /// Thread-safe convenience: borrows an arena from an internal pool.
+  /// Thread-safe convenience: borrows a scratch from an internal pool.
   double Estimate(const AggregateQuery& query) const {
     return Estimate(query, *scratch_pool_.Acquire());
   }

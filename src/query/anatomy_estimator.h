@@ -25,8 +25,8 @@
 
 namespace anatomy {
 
-/// Immutable after construction (the predicate cache is internally
-/// synchronized); one instance may serve any number of threads.
+/// Immutable after construction; one instance may serve any number of
+/// threads.
 class AnatomyEstimator {
  public:
   /// Builds its own bitmap index over the QIT's QI columns and per-sensitive-
@@ -35,28 +35,15 @@ class AnatomyEstimator {
                             const EstimatorOptions& options = {});
 
   /// Re-entrant core: all per-call state lives in `scratch`, which the
-  /// caller owns (typically one arena per worker thread).
+  /// caller owns (typically one per worker thread).
   double Estimate(const CountQuery& query, EstimatorScratch& scratch) const {
     return engine_.EstimateCountSum(query, /*need_sum=*/false, 0, scratch)
         .count;
   }
 
-  /// Thread-safe convenience: borrows an arena from an internal pool.
+  /// Thread-safe convenience: borrows a scratch from an internal pool.
   double Estimate(const CountQuery& query) const {
     return Estimate(query, *scratch_pool_.Acquire());
-  }
-
-  /// Batched COUNT estimates: results[i] is bit-identical to
-  /// Estimate(queries[i], scratch), but each distinct predicate in the
-  /// batch is materialized once (see
-  /// AnatomyQueryEngine::EstimateCountSumBatch).
-  void EstimateBatch(const CountQuery* queries, size_t count,
-                     EstimatorScratch& scratch, double* results) const {
-    std::vector<AnatomyQueryEngine::BatchQuery> batch(count);
-    for (size_t i = 0; i < count; ++i) batch[i].query = &queries[i];
-    std::vector<AnatomyQueryEngine::CountSum> out(count);
-    engine_.EstimateCountSumBatch(batch.data(), count, scratch, out.data());
-    for (size_t i = 0; i < count; ++i) results[i] = out[i].count;
   }
 
   /// Exact rows matching the QI predicates per group (property-test hook;

@@ -1,11 +1,9 @@
-// Fixed-size bitmaps used by the bitmap index, the predicate cache, the
-// exact evaluator and the scalar reference estimator: the AND-NOT
-// combinators the prefix-OR index is built from, and template set-bit
-// iteration that inlines its callback (no std::function, no virtual
-// dispatch on the hot path).
+// Fixed-size bitmaps used by the bitmap index, the exact evaluator and the
+// scalar reference estimator: the AND-NOT combinators the prefix-OR index is
+// built from, and template set-bit iteration that inlines its callback (no
+// std::function, no virtual dispatch on the hot path).
 //
-// Word storage routes through the arena allocator (DESIGN.md §11), and a
-// bitmap can carry a word-occupancy summary: a HierBitset with one bit per
+// A bitmap can carry a word-occupancy summary: a HierBitset with one bit per
 // 64-bit word (set iff the word is nonzero) plus a cached popcount. The
 // summary is built either fused into AndWith/AssignAnd (the scalar
 // reference's and the exact evaluator's conjunction path, where the words
@@ -24,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/fsa.h"
 
 namespace anatomy {
@@ -109,7 +106,7 @@ class Bitmap {
     }
   }
 
-  const ArenaVector<uint64_t>& words() const { return words_; }
+  const std::vector<uint64_t>& words() const { return words_; }
 
  private:
   /// `this` when it carries a summary sparse enough that occupancy-guided
@@ -125,7 +122,7 @@ class Bitmap {
   }
 
   size_t num_bits_ = 0;
-  ArenaVector<uint64_t> words_;
+  std::vector<uint64_t> words_;
   /// Word-occupancy summary: bit w set iff words_[w] != 0, valid only when
   /// summary_ok_. popcount_ / nz_words_ are cached alongside.
   HierBitset occupancy_;

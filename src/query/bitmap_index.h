@@ -50,7 +50,7 @@ class BitmapIndex {
   template <typename Fn>
   void ForEachRunBitmap(size_t column, const AttributePredicate& pred,
                         Fn&& fn) const {
-    const ArenaVector<Bitmap>& prefix = prefix_[SlotFor(column)];
+    const std::vector<Bitmap>& prefix = prefix_[SlotFor(column)];
     pred.ForEachRun(static_cast<Code>(prefix.size()), [&](Code lo, Code hi) {
       fn(prefix[hi], lo > 0 ? &prefix[lo - 1] : nullptr);
     });
@@ -64,10 +64,8 @@ class BitmapIndex {
   /// slot_of_column_[col] = slot index, or -1 when col is not indexed
   /// (replaces the former per-call linear scan).
   std::vector<int32_t> slot_of_column_;
-  /// prefix_[slot][v] = OR of the value bitmaps of codes <= v. The Bitmap
-  /// words already live on the arena; the per-slot spines do too, keeping
-  /// the whole index inside one reservation for locality.
-  ArenaVector<ArenaVector<Bitmap>> prefix_;
+  /// prefix_[slot][v] = OR of the value bitmaps of codes <= v.
+  std::vector<std::vector<Bitmap>> prefix_;
 };
 
 }  // namespace anatomy

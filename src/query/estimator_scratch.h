@@ -1,4 +1,4 @@
-// Per-call scratch arenas for the query estimators.
+// Per-call scratch state for the query estimators.
 //
 // Every estimator needs the same transient state while answering one query:
 // a per-group accumulator of qualifying sensitive mass, the list of groups
@@ -7,16 +7,17 @@
 // each estimator, which made a logically-const Estimate() silently
 // non-reentrant: two threads sharing one estimator corrupted each other's
 // group masses and produced wrong counts. The state now lives in an
-// EstimatorScratch arena that is either passed in explicitly (parallel
-// callers own one arena per worker) or borrowed from a small pool (the
-// single-argument Estimate() convenience overloads), so estimators are
-// immutable after construction and safe to share across threads.
+// EstimatorScratch that is either passed in explicitly (parallel callers
+// own one per worker) or borrowed from a small pool (the single-argument
+// Estimate() convenience overloads), so estimators are immutable after
+// construction and safe to share across threads. Every buffer keeps its
+// capacity between calls, so a warm scratch answers without allocating.
 //
 // Invariant between calls: `group_mass` is all-zero. Every estimator
 // restores the zeros for the groups it touched before returning, which is
 // what keeps a query O(touched) instead of O(groups). `EnsureGroupMass`
-// re-establishes the invariant wholesale whenever an arena migrates between
-// estimators with different group counts.
+// re-establishes the invariant wholesale whenever a scratch migrates
+// between estimators with different group counts.
 
 #ifndef ANATOMY_QUERY_ESTIMATOR_SCRATCH_H_
 #define ANATOMY_QUERY_ESTIMATOR_SCRATCH_H_
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "anatomy/partition.h"
-#include "common/arena.h"
 #include "query/bitmap.h"
 
 namespace anatomy {
@@ -53,8 +53,7 @@ struct SizeClassPartial {
 };
 
 /// One run of a QI predicate as the query kernel reads it: the rows are
-/// hi AND NOT lo, word by word (lo null: hi alone). A materialized
-/// predicate bitmap is a single run with a null lo.
+/// hi AND NOT lo, word by word (lo null: hi alone).
 struct PredicateRun {
   const uint64_t* hi = nullptr;
   const uint64_t* lo = nullptr;
@@ -63,9 +62,9 @@ struct PredicateRun {
 struct EstimatorScratch {
   /// Qualifying sensitive mass per group (S_j accumulator). All-zero
   /// between calls; sized lazily via EnsureGroupMass.
-  ArenaVector<double> group_mass;
+  std::vector<double> group_mass;
   /// Groups with nonzero group_mass this call; used to restore the zeros.
-  ArenaVector<GroupId> touched_groups;
+  std::vector<GroupId> touched_groups;
   /// Rows matching the conjunction of QI predicates (scalar reference).
   Bitmap qi_match;
   /// Workspace for one predicate's bitmap OR (scalar reference).
@@ -73,7 +72,7 @@ struct EstimatorScratch {
   /// Dense per-group mass buffer for the group-clustered kernel. Unlike
   /// group_mass it carries no all-zero invariant: every entry is assigned
   /// before any is read, so stale contents are harmless.
-  ArenaVector<uint32_t> group_mass_u32;
+  std::vector<uint32_t> group_mass_u32;
   /// The QI conjunction of one query as the block kernel reads it: the
   /// runs of predicate p are qi_runs[qi_run_end[p-1] .. qi_run_end[p]).
   std::vector<PredicateRun> qi_runs;
@@ -84,11 +83,6 @@ struct EstimatorScratch {
   std::vector<__int128> class_mass_value;
   /// The size-class partials of the last single-node estimate.
   std::vector<SizeClassPartial> partials;
-  /// Predicate-cache leases pinning the bitmaps one call reads; refreshed
-  /// at the start of the next call (see PredicateBitmapCache: a lease keeps
-  /// its bitmap alive across eviction). A batched call pins every distinct
-  /// predicate of the batch here for the batch's duration.
-  ArenaVector<std::shared_ptr<const Bitmap>> pred_refs;
 
   /// Makes group_mass an all-zero vector of `num_groups` entries. A no-op
   /// when the size already matches (the all-zero invariant holds between
@@ -98,15 +92,15 @@ struct EstimatorScratch {
   }
 };
 
-/// A mutex-guarded freelist of scratch arenas. Estimators own one pool and
-/// borrow an arena per Estimate() call, so concurrent callers of the
-/// convenience overload each get a private arena while the steady state
-/// (sequential or per-thread) reuses the same warm arena with zero
+/// A mutex-guarded freelist of scratches. Estimators own one pool and
+/// borrow a scratch per Estimate() call, so concurrent callers of the
+/// convenience overload each get a private scratch while the steady state
+/// (sequential or per-thread) reuses the same warm scratch with zero
 /// allocation. Contention is a brief push/pop; callers that care (the
-/// parallel runner) bypass the pool entirely with per-worker arenas.
+/// parallel runner) bypass the pool entirely with per-worker scratches.
 class ScratchPool {
  public:
-  /// Move-only RAII borrow; returns the arena to the pool on destruction.
+  /// Move-only RAII borrow; returns the scratch to the pool on destruction.
   class Lease {
    public:
     Lease(ScratchPool* pool, std::unique_ptr<EstimatorScratch> scratch)

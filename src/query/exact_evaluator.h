@@ -21,10 +21,10 @@ class ExactEvaluator {
   explicit ExactEvaluator(const Microdata& microdata);
 
   /// Re-entrant core: bitmap workspace lives in `scratch`, so repeated calls
-  /// with a warm arena allocate nothing.
+  /// with a warm scratch allocate nothing.
   uint64_t Count(const CountQuery& query, EstimatorScratch& scratch) const;
 
-  /// Thread-safe convenience: borrows an arena from an internal pool.
+  /// Thread-safe convenience: borrows a scratch from an internal pool.
   uint64_t Count(const CountQuery& query) const {
     return Count(query, *scratch_pool_.Acquire());
   }

@@ -31,7 +31,7 @@ class GeneralizationEstimator {
   /// Re-entrant core: all per-call state lives in `scratch`.
   double Estimate(const CountQuery& query, EstimatorScratch& scratch) const;
 
-  /// Thread-safe convenience: borrows an arena from an internal pool.
+  /// Thread-safe convenience: borrows a scratch from an internal pool.
   double Estimate(const CountQuery& query) const {
     return Estimate(query, *scratch_pool_.Acquire());
   }

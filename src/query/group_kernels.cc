@@ -16,6 +16,9 @@ namespace {
 /// falls back to the sparse postings path for every query.
 constexpr uint64_t kDensePrefixMassLimit = uint64_t{1} << 24;
 
+/// Every array of the engine's block starts on its own cache line.
+constexpr size_t kCacheLine = 64;
+
 /// The block kernel's unit: 64 words of the QI conjunction (4096 rows, 512
 /// bytes) stay in L1 while the block's groups read their ranks.
 constexpr size_t kBlockWords = 64;
@@ -67,7 +70,39 @@ bool AndBlock(const EstimatorScratch& scratch, size_t w0, size_t nw,
   return true;
 }
 
+/// The typed span of `range` inside `block`.
+template <typename T>
+std::span<T> Carve(const HugePageBlock& block, EngineLayout::Range range) {
+  return {reinterpret_cast<T*>(block.data() + range.offset),
+          range.bytes / sizeof(T)};
+}
+
 }  // namespace
+
+EngineLayout ComputeEngineLayout(RowId n, GroupId m,
+                                 const std::vector<Code>& qi_domains,
+                                 Code sens_domain) {
+  EngineLayout layout;
+  const auto add = [&layout](size_t count, size_t elem_bytes) {
+    const EngineLayout::Range range{layout.bytes, count * elem_bytes};
+    layout.bytes = (range.offset + range.bytes + kCacheLine - 1) &
+                   ~(kCacheLine - 1);
+    return range;
+  };
+  const size_t blocks = (static_cast<size_t>(n) + kBlockRows - 1) / kBlockRows;
+  layout.group_start = add(static_cast<size_t>(m) + 1, sizeof(RowId));
+  layout.block_group = add(blocks + 1, sizeof(GroupId));
+  layout.class_slot = add(m, sizeof(uint32_t));
+  for (const Code domain : qi_domains) {
+    layout.codes.push_back(
+        add(n, domain <= 1 << 8 ? sizeof(uint8_t) : sizeof(uint32_t)));
+  }
+  if (static_cast<uint64_t>(sens_domain) * m <= kDensePrefixMassLimit) {
+    layout.prefix_mass =
+        add(static_cast<size_t>(sens_domain) * m, sizeof(uint32_t));
+  }
+  return layout;
+}
 
 int64_t IntegerValue(const AttributeDef& attr, Code code) {
   if (attr.kind == AttributeKind::kNumerical) {
@@ -106,12 +141,25 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
     return;
   }
 
+  const GroupId m = tables.num_groups();
+  const RowId n = tables.num_rows();
+  std::vector<Code> qi_domains(d);
+  for (size_t col = 0; col < d; ++col) {
+    qi_domains[col] = qit.schema().attribute(col).domain_size;
+  }
+  const EngineLayout layout = ComputeEngineLayout(n, m, qi_domains, sens_domain);
+  // The advice must precede the first touch, so every array below is
+  // written only after the block exists.
+  block_ = HugePageBlock(layout.bytes);
+  group_start_ = Carve<RowId>(block_, layout.group_start);
+  block_group_ = Carve<GroupId>(block_, layout.block_group);
+  class_slot_ = Carve<uint32_t>(block_, layout.class_slot);
+  prefix_mass_ = Carve<uint32_t>(block_, layout.prefix_mass);
+
   // Group-clustered layout: counting-sort the rows by Group-ID. Rows of a
   // group keep their relative order, so within a group the permuted order
   // is the QIT order.
-  const GroupId m = tables.num_groups();
-  const RowId n = tables.num_rows();
-  group_start_.assign(static_cast<size_t>(m) + 1, 0);
+  group_start_[0] = 0;
   for (GroupId g = 0; g < m; ++g) {
     group_start_[g + 1] = group_start_[g] + tables.group_size(g);
   }
@@ -123,8 +171,7 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
   }
   qit_index_ = std::make_unique<BitmapIndex>(qit, columns, &perm);
 
-  const size_t blocks = (static_cast<size_t>(n) + kBlockRows - 1) / kBlockRows;
-  block_group_.assign(blocks + 1, m);
+  std::fill(block_group_.begin(), block_group_.end(), m);
   for (GroupId g = 0; g < m; ++g) {
     // The blocks whose first row lies in g's range.
     for (size_t b = (group_start_[g] + kBlockRows - 1) / kBlockRows;
@@ -139,7 +186,6 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
   class_size_.erase(std::unique(class_size_.begin(), class_size_.end()),
                     class_size_.end());
   class_size_.shrink_to_fit();
-  class_slot_.resize(m);
   for (GroupId g = 0; g < m; ++g) {
     const size_t k = std::lower_bound(class_size_.begin(), class_size_.end(),
                                       tables.group_size(g)) -
@@ -149,33 +195,26 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
   perm_codes_.resize(d);
   for (size_t col = 0; col < d; ++col) {
     const auto& codes = qit.column(col);
-    const auto permute = [&](auto& out) {
-      out.resize(n);
+    const auto permute = [&](auto out) {
       for (RowId i = 0; i < n; ++i) out[i] = codes[perm[i]];
     };
-    if (qit.schema().attribute(col).domain_size <= 1 << 8) {
+    if (qi_domains[col] <= 1 << 8) {
+      perm_codes_[col].u8 = Carve<uint8_t>(block_, layout.codes[col]);
       permute(perm_codes_[col].u8);
     } else {
+      perm_codes_[col].u32 = Carve<uint32_t>(block_, layout.codes[col]);
       permute(perm_codes_[col].u32);
     }
   }
 
-  if (static_cast<uint64_t>(sens_domain) * m <= kDensePrefixMassLimit) {
-    prefix_mass_.resize(static_cast<size_t>(sens_domain));
+  // Row v of the cumulative histograms is row v - 1 plus value v's
+  // postings (the block arrives zeroed, so row 0 needs no fill).
+  if (!prefix_mass_.empty()) {
     for (Code v = 0; v < sens_domain; ++v) {
-      if (v == 0) {
-        prefix_mass_[0].assign(m, 0);
-      } else {
-        prefix_mass_[v] = prefix_mass_[v - 1];
-      }
-      for (const auto& [g, count] : postings_[v]) {
-        prefix_mass_[v][g] += count;
-      }
+      uint32_t* row = prefix_mass_.data() + static_cast<size_t>(v) * m;
+      if (v > 0) std::copy_n(row - m, m, row);
+      for (const auto& [g, count] : postings_[v]) row[g] += count;
     }
-  }
-
-  if (options_.predcache.enabled && options_.predcache.capacity > 0) {
-    cache_ = std::make_unique<PredicateBitmapCache>(options_.predcache);
   }
 }
 
@@ -202,9 +241,11 @@ void AnatomyQueryEngine::ComputeDenseMass(const AttributePredicate& spred,
   uint32_t* mass = scratch.group_mass_u32.data();
   bool first = true;
   spred.ForEachRun(
-      static_cast<Code>(prefix_mass_.size()), [&](Code lo, Code hi) {
-        const uint32_t* hp = prefix_mass_[hi].data();
-        const uint32_t* lp = lo > 0 ? prefix_mass_[lo - 1].data() : nullptr;
+      static_cast<Code>(value_total_.size()), [&](Code lo, Code hi) {
+        const uint32_t* hp = prefix_mass_.data() + static_cast<size_t>(hi) * m;
+        const uint32_t* lp =
+            lo > 0 ? prefix_mass_.data() + static_cast<size_t>(lo - 1) * m
+                   : nullptr;
         // The first run assigns (stale buffer contents never survive), the
         // rest accumulate; runs are disjoint so sums stay exact integers.
         if (first) {
@@ -237,7 +278,7 @@ void AnatomyQueryEngine::ComputeGroupMass(const AttributePredicate& spred,
   const size_t m = tables_->num_groups();
   if (!prefix_mass_.empty()) {
     uint64_t runs = 0;
-    spred.ForEachRun(static_cast<Code>(prefix_mass_.size()),
+    spred.ForEachRun(static_cast<Code>(value_total_.size()),
                      [&runs](Code, Code) { ++runs; });
     if (runs * m < entries) {
       ComputeDenseMass(spred, scratch);
@@ -253,41 +294,18 @@ void AnatomyQueryEngine::ComputeGroupMass(const AttributePredicate& spred,
 }
 
 bool AnatomyQueryEngine::CollectPredicateRuns(
-    const std::vector<AttributePredicate>& preds, EstimatorScratch& scratch,
-    const PreparedPredicateMap* prepared) const {
+    const std::vector<AttributePredicate>& preds,
+    EstimatorScratch& scratch) const {
   scratch.qi_runs.clear();
   scratch.qi_run_end.clear();
   for (const AttributePredicate& pred : preds) {
     const size_t first_run = scratch.qi_runs.size();
-    const Bitmap* bitmap = nullptr;
-    if (prepared != nullptr) {
-      const uint64_t h = HashPredicateKey(pred.qi_index(), pred.values());
-      const auto it = prepared->find(h);
-      ANATOMY_CHECK(it != prepared->end());
-      for (const PreparedPredicate& p : it->second) {
-        if (p.column == pred.qi_index() && *p.values == pred.values()) {
-          bitmap = p.bitmap;
-          break;
-        }
-      }
-      ANATOMY_CHECK(bitmap != nullptr);  // the batch prepared every one
-    } else if (cache_ != nullptr) {
-      scratch.pred_refs.push_back(cache_->GetOrCompute(
-          pred.qi_index(), pred.values(), [&](Bitmap& out) {
-            qit_index_->PredicateBitmap(pred.qi_index(), pred, out);
-          }));
-      bitmap = scratch.pred_refs.back().get();
-    }
-    if (bitmap != nullptr) {
-      scratch.qi_runs.push_back({bitmap->words().data(), nullptr});
-    } else {
-      qit_index_->ForEachRunBitmap(
-          pred.qi_index(), pred, [&](const Bitmap& hi, const Bitmap* lo) {
-            scratch.qi_runs.push_back(
-                {hi.words().data(),
-                 lo == nullptr ? nullptr : lo->words().data()});
-          });
-    }
+    qit_index_->ForEachRunBitmap(
+        pred.qi_index(), pred, [&](const Bitmap& hi, const Bitmap* lo) {
+          scratch.qi_runs.push_back(
+              {hi.words().data(),
+               lo == nullptr ? nullptr : lo->words().data()});
+        });
     if (scratch.qi_runs.size() == first_run) {
       return false;  // no value of this predicate is in the column's domain
     }
@@ -302,53 +320,7 @@ AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateCountSum(
   if (options_.mode == KernelMode::kScalar) {
     return EstimateScalar(query, need_sum, measure_qi, scratch);
   }
-  return EstimateClustered(query, need_sum, measure_qi, scratch,
-                           /*prepared=*/nullptr);
-}
-
-void AnatomyQueryEngine::EstimateCountSumBatch(const BatchQuery* batch,
-                                               size_t count,
-                                               EstimatorScratch& scratch,
-                                               CountSum* out) const {
-  if (options_.mode == KernelMode::kScalar) {
-    // The scalar reference stays strictly one-query-at-a-time.
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = EstimateScalar(*batch[i].query, batch[i].need_sum,
-                              batch[i].measure_qi, scratch);
-    }
-    return;
-  }
-
-  // Without a cache every query reads its runs straight from the index.
-  // With one, each distinct QI predicate of the batch is looked up once and
-  // its lease pinned for the whole batch.
-  PreparedPredicateMap prepared;
-  if (cache_ != nullptr) {
-    scratch.pred_refs.clear();
-    for (size_t qi = 0; qi < count; ++qi) {
-      for (const AttributePredicate& pred : batch[qi].query->qi_predicates) {
-        auto& chain =
-            prepared[HashPredicateKey(pred.qi_index(), pred.values())];
-        bool present = false;
-        for (const PreparedPredicate& p : chain) {
-          present = present ||
-                    (p.column == pred.qi_index() && *p.values == pred.values());
-        }
-        if (present) continue;
-        scratch.pred_refs.push_back(cache_->GetOrCompute(
-            pred.qi_index(), pred.values(), [&](Bitmap& bm) {
-              qit_index_->PredicateBitmap(pred.qi_index(), pred, bm);
-            }));
-        chain.push_back(
-            {pred.qi_index(), &pred.values(), scratch.pred_refs.back().get()});
-      }
-    }
-  }
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = EstimateClustered(*batch[i].query, batch[i].need_sum,
-                               batch[i].measure_qi, scratch,
-                               cache_ != nullptr ? &prepared : nullptr);
-  }
+  return EstimateClustered(query, need_sum, measure_qi, scratch);
 }
 
 AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateScalar(
@@ -403,7 +375,7 @@ AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateScalar(
 
 AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateClustered(
     const CountQuery& query, bool need_sum, size_t measure_qi,
-    EstimatorScratch& scratch, const PreparedPredicateMap* prepared) const {
+    EstimatorScratch& scratch) const {
   if (!need_sum && query.qi_predicates.empty()) {
     // Zero-QI COUNT is exact straight from the ST's published per-value
     // counts: one lookup per predicate value, no group work at all. The
@@ -415,8 +387,8 @@ AnatomyQueryEngine::CountSum AnatomyQueryEngine::EstimateClustered(
     }
     return out;
   }
-  SizeClassPartials(query, need_sum, measure_qi, scratch, prepared,
-                    &scratch.partials);
+  CollectSizeClassPartials(query, need_sum, measure_qi, scratch,
+                           &scratch.partials);
   const CanonicalFoldResult fold = CanonicalFold(scratch.partials);
   return {fold.count, fold.sum};
 }
@@ -504,17 +476,14 @@ void AnatomyQueryEngine::ForEachGroupMatch(const EstimatorScratch& scratch,
   }
 }
 
-void AnatomyQueryEngine::SizeClassPartials(
+void AnatomyQueryEngine::CollectSizeClassPartials(
     const CountQuery& query, bool need_sum, size_t measure_qi,
-    EstimatorScratch& scratch, const PreparedPredicateMap* prepared,
+    EstimatorScratch& scratch,
     std::vector<GroupAggregatePartial>* out) const {
   ANATOMY_CHECK(options_.mode == KernelMode::kGroupClustered);
   ANATOMY_CHECK(!need_sum || measure_qi < perm_codes_.size());
   out->clear();
-  // In batch mode EstimateCountSumBatch owns the leases pinning prepared
-  // bitmaps; clearing here would free them mid-batch.
-  if (prepared == nullptr) scratch.pred_refs.clear();
-  if (!CollectPredicateRuns(query.qi_predicates, scratch, prepared)) return;
+  if (!CollectPredicateRuns(query.qi_predicates, scratch)) return;
   ComputeGroupMass(query.sensitive_predicate, scratch);
 
   // Per size class, N_s = sum of mass_g * match_g and, for SUM, C_s = sum
@@ -572,21 +541,12 @@ void AnatomyQueryEngine::SizeClassPartials(
   }
 }
 
-void AnatomyQueryEngine::CollectSizeClassPartials(
-    const CountQuery& query, bool need_sum, size_t measure_qi,
-    EstimatorScratch& scratch,
-    std::vector<GroupAggregatePartial>* out) const {
-  SizeClassPartials(query, need_sum, measure_qi, scratch,
-                    /*prepared=*/nullptr, out);
-}
-
 std::vector<uint64_t> AnatomyQueryEngine::GroupMatchCounts(
     const CountQuery& query, EstimatorScratch& scratch) const {
   const GroupId m = tables_->num_groups();
   std::vector<uint64_t> counts(m, 0);
   if (options_.mode == KernelMode::kGroupClustered) {
-    scratch.pred_refs.clear();
-    if (!CollectPredicateRuns(query.qi_predicates, scratch, nullptr)) {
+    if (!CollectPredicateRuns(query.qi_predicates, scratch)) {
       return counts;
     }
     // A unit mass for every group, so no block is skipped.

@@ -6,7 +6,8 @@
 // are permuted by Group-ID so every QI group occupies one contiguous bit
 // range [group_start_[g], group_start_[g+1]) of every index bitmap, and
 // every QI column is copied in that order at u8 when its domain fits, else
-// at u32.
+// at u32. Those copies and the per-group arrays sit packed in one huge-page
+// block per engine (EngineLayout; DESIGN.md §11).
 //
 // The estimate is sum_g mass_g * match_g / |g|. Anatomize publishes at most
 // l distinct group sizes, so the kernel adds exact integers per size class
@@ -14,9 +15,8 @@
 // class. One kernel serves the single-node estimators, the merged engine
 // and every node of src/dist, so their answers are bit-identical by
 // construction. Per block of 64 words (4096 rows) it
-//   1. ANDs the QI predicate words into a buffer on the stack: cached or
-//      batch-prepared bitmaps when there are any, otherwise each run's
-//      prefix[hi] AND NOT prefix[lo-1] straight from the index;
+//   1. ANDs the QI predicate words into a buffer on the stack: each run's
+//      prefix[hi] AND NOT prefix[lo-1], straight from the index;
 //   2. prefix-popcounts the buffer, so match_g = rank(end_g) - rank(start_g)
 //      for every group ending in the block (a group that straddles blocks
 //      carries its count forward), and N[class(g)] += mass_g * match_g;
@@ -33,9 +33,8 @@
 // prefix_mass_[v][g] = sum_{u<=v} c_g(u): each predicate run is one
 // vectorizable subtraction over the group axis. Both are exact integers.
 //
-// Thread safety: immutable after construction except the internally-
-// synchronized predicate-bitmap cache; one engine may serve any number of
-// threads, each bringing its own EstimatorScratch.
+// Thread safety: immutable after construction; one engine may serve any
+// number of threads, each bringing its own EstimatorScratch.
 
 #ifndef ANATOMY_QUERY_GROUP_KERNELS_H_
 #define ANATOMY_QUERY_GROUP_KERNELS_H_
@@ -43,14 +42,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "anatomy/anatomized_tables.h"
-#include "common/arena.h"
+#include "common/huge_page_block.h"
 #include "query/bitmap_index.h"
 #include "query/estimator_scratch.h"
-#include "query/pred_cache.h"
 #include "query/predicate.h"
 
 namespace anatomy {
@@ -72,9 +69,37 @@ enum class KernelMode {
 
 struct EstimatorOptions {
   KernelMode mode = KernelMode::kGroupClustered;
-  /// Predicate-bitmap cache (consulted only in kGroupClustered mode).
-  PredicateCacheOptions predcache;
+  /// Ignored: the predicate-bitmap cache is gone. The field stays only
+  /// because the end-to-end benchmark (perfbench/) still sets it.
+  struct {
+    bool enabled = true;
+  } predcache;
 };
+
+/// Where AnatomyQueryEngine packs its read-only arrays inside its
+/// HugePageBlock: byte ranges, each starting on a cache line, computed from
+/// the publication's shape alone.
+struct EngineLayout {
+  struct Range {
+    size_t offset = 0;
+    size_t bytes = 0;
+  };
+  Range group_start;  // m + 1 RowIds
+  Range block_group;  // one GroupId per 4096-row block, plus one
+  Range class_slot;   // m uint32s
+  /// One per QI column: n codes at u8 when the domain fits, else u32.
+  std::vector<Range> codes;
+  /// sens_domain x m uint32s; empty past the memory gate.
+  Range prefix_mass;
+  /// The end of the last range: the block size to request.
+  size_t bytes = 0;
+};
+
+/// The layout of an engine over n rows in m groups, with the given QI
+/// column domains and sensitive domain.
+EngineLayout ComputeEngineLayout(RowId n, GroupId m,
+                                 const std::vector<Code>& qi_domains,
+                                 Code sens_domain);
 
 class AnatomyQueryEngine {
  public:
@@ -91,22 +116,6 @@ class AnatomyQueryEngine {
   /// value is summed; ignored when need_sum is false.
   CountSum EstimateCountSum(const CountQuery& query, bool need_sum,
                             size_t measure_qi, EstimatorScratch& scratch) const;
-
-  /// One query of a batch (see EstimateCountSumBatch).
-  struct BatchQuery {
-    const CountQuery* query = nullptr;
-    bool need_sum = false;
-    size_t measure_qi = 0;
-  };
-
-  /// Batched COUNT/SUM over batch[0..count), writing out[i] for batch[i].
-  /// With the cache, each distinct (column, values) QI predicate of the
-  /// batch is looked up once and pinned for the batch; without it, no
-  /// predicate is materialized at all. Every query then runs the same
-  /// kernel as EstimateCountSum, so out[i] is bit-identical to the one-
-  /// query-at-a-time path.
-  void EstimateCountSumBatch(const BatchQuery* batch, size_t count,
-                             EstimatorScratch& scratch, CountSum* out) const;
 
   /// Exact number of rows matching the QI-predicate conjunction in each
   /// group. Integer-identical across kernel modes — the property-test hook
@@ -132,34 +141,15 @@ class AnatomyQueryEngine {
 
   const EstimatorOptions& options() const { return options_; }
 
- private:
-  /// Batch-prepared predicate bitmaps, keyed by HashPredicateKey; chain
-  /// entries compare full keys (same no-fingerprint rule as the cache).
-  /// Values/bitmaps point into the caller's batch and scratch, valid for
-  /// one EstimateCountSumBatch call.
-  struct PreparedPredicate {
-    size_t column;
-    const std::vector<Code>* values;
-    const Bitmap* bitmap;
-  };
-  using PreparedPredicateMap = std::unordered_map<
-      uint64_t, ArenaVector<PreparedPredicate>, std::hash<uint64_t>,
-      std::equal_to<uint64_t>,
-      ArenaAllocator<std::pair<const uint64_t, ArenaVector<PreparedPredicate>>>>;
+  /// The block holding the arrays of EngineLayout (empty in scalar mode).
+  const HugePageBlock& block() const { return block_; }
 
+ private:
   CountSum EstimateScalar(const CountQuery& query, bool need_sum,
                           size_t measure_qi, EstimatorScratch& scratch) const;
-  /// `prepared` non-null means batch mode: predicate bitmaps come from the
-  /// prepared map (whose leases EstimateCountSumBatch owns) instead of the
-  /// cache or the index.
   CountSum EstimateClustered(const CountQuery& query, bool need_sum,
-                             size_t measure_qi, EstimatorScratch& scratch,
-                             const PreparedPredicateMap* prepared) const;
-  /// CollectSizeClassPartials, with `prepared` as above.
-  void SizeClassPartials(const CountQuery& query, bool need_sum,
-                         size_t measure_qi, EstimatorScratch& scratch,
-                         const PreparedPredicateMap* prepared,
-                         std::vector<GroupAggregatePartial>* out) const;
+                             size_t measure_qi,
+                             EstimatorScratch& scratch) const;
 
   /// Accumulates S_j into scratch.group_mass/touched_groups via the
   /// postings. Returns false when no group has qualifying mass.
@@ -174,12 +164,10 @@ class AnatomyQueryEngine {
                         EstimatorScratch& scratch) const;
 
   /// Fills scratch.qi_runs / qi_run_end with the query's QI conjunction:
-  /// the batch-prepared bitmap when `prepared` is non-null, else a cache
-  /// lease (pinned in scratch.pred_refs), else the predicate's runs in the
-  /// index. Returns false when some predicate matches no row.
+  /// each predicate's runs in the index. Returns false when some predicate
+  /// matches no row.
   bool CollectPredicateRuns(const std::vector<AttributePredicate>& preds,
-                            EstimatorScratch& scratch,
-                            const PreparedPredicateMap* prepared) const;
+                            EstimatorScratch& scratch) const;
   /// The block kernel over scratch.qi_runs: calls group_fn(g, match_g,
   /// sum of codes[i] over g's matching rows i) for the groups in order — at
   /// least every group with mass[g] != 0 and match_g > 0. The code sums
@@ -192,39 +180,38 @@ class AnatomyQueryEngine {
   EstimatorOptions options_;
   std::unique_ptr<BitmapIndex> qit_index_;
   /// postings_[v] = (group, count) pairs with c_group(v) = count > 0.
-  ArenaVector<ArenaVector<std::pair<GroupId, uint32_t>>> postings_;
+  std::vector<std::vector<std::pair<GroupId, uint32_t>>> postings_;
   /// Total tuples per sensitive value (the ST's published exact counts):
   /// the zero-QI COUNT fast path is one lookup per predicate value.
-  ArenaVector<uint64_t> value_total_;
+  std::vector<uint64_t> value_total_;
 
   // --- kGroupClustered state (empty in scalar mode) ---
-  // The per-group and per-row arrays the kernel reads on every query live
-  // in the arena's huge-page-advised chunks (DESIGN.md §11).
+  // The per-group and per-row arrays the kernel reads on every query are
+  // spans into block_, laid out by ComputeEngineLayout.
+  HugePageBlock block_;
   /// group_start_[g] .. group_start_[g+1]: group g's bit range.
-  ArenaVector<RowId> group_start_;
+  std::span<RowId> group_start_;
   /// block_group_[b] = the group owning the first row of block b (4096
   /// rows), and m for b = the block count: the groups ending in block b
   /// are [block_group_[b], block_group_[b+1]).
-  ArenaVector<GroupId> block_group_;
+  std::span<GroupId> block_group_;
   /// class_size_ holds the distinct group sizes, ascending (at most l for
   /// an Anatomize publication). Group g accumulates into slot class_slot_[g]
   /// = k * kLanes + g % kLanes of the per-class accumulators, k indexing
   /// its size in class_size_: consecutive groups mostly share a class, and
   /// one accumulator per class would chain every add through memory.
   std::vector<uint32_t> class_size_;
-  ArenaVector<uint32_t> class_slot_;
-  /// QI column qi's codes in bit order, in exactly one of the two vectors:
+  std::span<uint32_t> class_slot_;
+  /// QI column qi's codes in bit order, in exactly one of the two spans:
   /// u8 when the column's domain fits (every CENSUS attribute), else u32.
   struct PermutedCodes {
-    ArenaVector<uint8_t> u8;
-    ArenaVector<uint32_t> u32;
+    std::span<uint8_t> u8;
+    std::span<uint32_t> u32;
   };
   std::vector<PermutedCodes> perm_codes_;
-  /// prefix_mass_[v][g] = sum_{u<=v} c_g(u); empty when the sensitive
+  /// prefix_mass_[v * m + g] = sum_{u<=v} c_g(u); empty when the sensitive
   /// domain x group count would exceed the memory gate.
-  ArenaVector<ArenaVector<uint32_t>> prefix_mass_;
-  /// Null when disabled (the options kill switch) or in scalar mode.
-  std::unique_ptr<PredicateBitmapCache> cache_;
+  std::span<uint32_t> prefix_mass_;
 };
 
 /// The one true merge: adds N_s and V_s per group size (exact integers),

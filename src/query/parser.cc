@@ -83,27 +83,21 @@ StatusOr<Code> ResolveValue(const AttributeDef& attr, const std::string& text) {
   for (size_t i = 0; i < attr.labels.size(); ++i) {
     if (attr.labels[i] == text) return static_cast<Code>(i);
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("'" + text + "' is neither a label nor a "
-                                   "number for " + attr.name);
-  }
-  long long code = parsed;
-  if (attr.kind == AttributeKind::kNumerical) {
-    const long long offset = parsed - attr.numeric_base;
-    if (attr.numeric_step == 0 || offset % attr.numeric_step != 0) {
+  Code code = 0;
+  switch (DecodeInteger(attr, text, &code)) {
+    case IntegerDecode::kOk:
+      return code;
+    case IntegerDecode::kNotAnInteger:
+      return Status::InvalidArgument("'" + text + "' is neither a label nor a "
+                                     "number for " + attr.name);
+    case IntegerDecode::kOffGrid:
       return Status::InvalidArgument("value " + text + " is off the grid of " +
                                      attr.name);
-    }
-    code = offset / attr.numeric_step;
+    case IntegerDecode::kOutOfDomain:
+      break;
   }
-  if (code < 0 || code >= attr.domain_size) {
-    return Status::OutOfRange("value " + text + " outside the domain of " +
-                              attr.name);
-  }
-  return static_cast<Code>(code);
+  return Status::OutOfRange("value " + text + " outside the domain of " +
+                            attr.name);
 }
 
 /// Codes of `attr` whose mapped real value lies in [lo_text, hi_text].
@@ -111,14 +105,12 @@ StatusOr<std::vector<Code>> ResolveRange(const AttributeDef& attr,
                                          const std::string& lo_text,
                                          const std::string& hi_text) {
   auto parse_real = [&](const std::string& text) -> StatusOr<int64_t> {
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    StatusOr<int64_t> v = ParseInt64(text);
+    if (!v.ok()) {
       return Status::InvalidArgument("BETWEEN bound '" + text +
                                      "' is not a number");
     }
-    return static_cast<int64_t>(v);
+    return v;
   };
   int64_t lo;
   int64_t hi;

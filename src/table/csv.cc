@@ -78,29 +78,23 @@ class FieldDecoder {
       if (it != label_to_code_.end()) return it->second;
       // Fall through: allow numeric codes even for labeled attributes.
     }
-    char* end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("line " + std::to_string(line) +
-                                     ": cannot parse '" + text + "' for " +
-                                     def_->name);
-    }
-    long long code = parsed;
-    if (def_->kind == AttributeKind::kNumerical) {
-      const long long offset = parsed - def_->numeric_base;
-      if (def_->numeric_step == 0 || offset % def_->numeric_step != 0) {
+    Code code = 0;
+    switch (DecodeInteger(*def_, text, &code)) {
+      case IntegerDecode::kOk:
+        return code;
+      case IntegerDecode::kNotAnInteger:
+        return Status::InvalidArgument("line " + std::to_string(line) +
+                                       ": cannot parse '" + text + "' for " +
+                                       def_->name);
+      case IntegerDecode::kOffGrid:
         return Status::InvalidArgument("line " + std::to_string(line) +
                                        ": value " + text +
                                        " not on the grid of " + def_->name);
-      }
-      code = offset / def_->numeric_step;
+      case IntegerDecode::kOutOfDomain:
+        break;
     }
-    if (code < 0 || code >= def_->domain_size) {
-      return Status::OutOfRange("line " + std::to_string(line) + ": value " +
-                                text + " outside the domain of " + def_->name);
-    }
-    return static_cast<Code>(code);
+    return Status::OutOfRange("line " + std::to_string(line) + ": value " +
+                              text + " outside the domain of " + def_->name);
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "table/schema.h"
 
 #include "common/check.h"
+#include "common/string_util.h"
 
 namespace anatomy {
 
@@ -70,6 +71,25 @@ AttributeDef MakeNumerical(std::string name, Code domain_size, int64_t base,
   def.numeric_base = base;
   def.numeric_step = step;
   return def;
+}
+
+IntegerDecode DecodeInteger(const AttributeDef& attr, std::string_view text,
+                            Code* code) {
+  const StatusOr<int64_t> parsed = ParseInt64(text);
+  if (!parsed.ok()) return IntegerDecode::kNotAnInteger;
+  __int128 value = *parsed;
+  if (attr.kind == AttributeKind::kNumerical) {
+    const __int128 offset = value - attr.numeric_base;
+    if (attr.numeric_step == 0 || offset % attr.numeric_step != 0) {
+      return IntegerDecode::kOffGrid;
+    }
+    value = offset / attr.numeric_step;
+  }
+  if (value < 0 || value >= attr.domain_size) {
+    return IntegerDecode::kOutOfDomain;
+  }
+  *code = static_cast<Code>(value);
+  return IntegerDecode::kOk;
 }
 
 }  // namespace anatomy

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -83,6 +84,18 @@ AttributeDef MakeLabeled(std::string name, std::vector<std::string> labels);
 /// mapping to base, base+step, ...
 AttributeDef MakeNumerical(std::string name, Code domain_size,
                            int64_t base = 0, int64_t step = 1);
+
+/// How DecodeInteger maps integer text onto an attribute's codes.
+enum class IntegerDecode { kOk, kNotAnInteger, kOffGrid, kOutOfDomain };
+
+/// Decodes integer `text` (whole-string int64, as ParseInt64 reads it) to
+/// *code: for a categorical attribute the integer is the code, for a
+/// numerical one it is the value numeric_base + code * numeric_step. The
+/// arithmetic runs in 128 bits, so no int64 text overflows or traps. The
+/// one decoder behind CSV cells, query values and generalized boundaries;
+/// each caller words its own errors.
+IntegerDecode DecodeInteger(const AttributeDef& attr, std::string_view text,
+                            Code* code);
 
 }  // namespace anatomy
 

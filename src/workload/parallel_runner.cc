@@ -12,8 +12,7 @@
 namespace anatomy {
 
 ParallelRunner::ParallelRunner(const ParallelRunnerOptions& options)
-    : pool_(options.num_threads),
-      batch_size_(options.batch_size == 0 ? 1 : options.batch_size) {
+    : pool_(options.num_threads) {
   worker_scratch_.resize(pool_.num_threads());
   worker_rngs_.reserve(pool_.num_threads());
   for (size_t w = 0; w < pool_.num_threads(); ++w) {
@@ -60,47 +59,6 @@ std::vector<double> ParallelRunner::Map(const std::vector<CountQuery>& queries,
                         query_count->Increment(end - begin);
                       }
                     });
-  return results;
-}
-
-std::vector<double> ParallelRunner::MapBatched(
-    const std::vector<CountQuery>& queries, const BatchFn& fn) {
-  const bool metrics_on = obs::MetricsEnabled();
-  obs::Histogram* latency_ns =
-      metrics_on
-          ? obs::MetricRegistry::Global().GetHistogram("query.latency_ns")
-          : nullptr;
-  obs::Counter* query_count =
-      metrics_on ? obs::MetricRegistry::Global().GetCounter("query.count")
-                 : nullptr;
-
-  std::vector<double> results(queries.size());
-  pool_.ParallelFor(
-      queries.size(), [&](size_t shard, size_t begin, size_t end) {
-        obs::ScopedSpan shard_span("query.shard", "query");
-        EstimatorScratch& scratch = worker_scratch_[shard];
-        std::vector<double>& staging = worker_staging_[shard];
-        staging.resize(end - begin);
-        for (size_t b = begin; b < end; b += batch_size_) {
-          const size_t count = std::min(batch_size_, end - b);
-          if (latency_ns == nullptr) {
-            fn(&queries[b], count, scratch, &staging[b - begin]);
-            continue;
-          }
-          // One timed section per batch (two clock reads), spread over the
-          // batch's queries: each gets the batch mean, the first also the
-          // remainder, so histogram count == queries served and the sum is
-          // the exact elapsed time.
-          Stopwatch watch;
-          fn(&queries[b], count, scratch, &staging[b - begin]);
-          const uint64_t elapsed = watch.ElapsedNanos();
-          const uint64_t mean = elapsed / count;
-          latency_ns->Record(mean + elapsed % count);
-          for (size_t i = 1; i < count; ++i) latency_ns->Record(mean);
-        }
-        std::copy(staging.begin(), staging.end(), results.begin() + begin);
-        if (query_count != nullptr) query_count->Increment(end - begin);
-      });
   return results;
 }
 

@@ -1,6 +1,6 @@
 // Parallel query serving: shards a workload's queries across a fixed pool
-// of worker threads, each owning a private EstimatorScratch arena and a
-// private Rng stream (Rng::ForStream(seed, shard), i.e. seeded via
+// of worker threads, each owning a private EstimatorScratch and a private
+// Rng stream (Rng::ForStream(seed, shard), i.e. seeded via
 // SplitMix64(seed ^ shard)).
 //
 // Determinism contract: result[i] is a pure function of queries[i] and the
@@ -35,10 +35,6 @@ struct ParallelRunnerOptions {
   size_t num_threads = 0;
   /// Base seed of the per-worker rng streams (stream w = ForStream(seed, w)).
   uint64_t seed = 7;
-  /// Queries per batched-evaluation call in the batched EstimateAll path
-  /// (each batch materializes its distinct predicates once). Purely a
-  /// performance knob: results are bit-identical at any batch size.
-  size_t batch_size = 32;
 };
 
 /// A query set with precomputed nonzero ground-truth answers: exactly the
@@ -80,16 +76,6 @@ class ParallelRunner {
   std::vector<double> Map(const std::vector<CountQuery>& queries,
                           const QueryFn& fn);
 
-  /// Like Map, but hands each shard contiguous batches of
-  /// options.batch_size queries: fn(&queries[b], count, scratch, &out[b]).
-  /// Latency accounting is per batch (two clock reads), spread over the
-  /// batch's queries so histogram counts still equal queries served; the
-  /// per-query values are therefore batch means.
-  using BatchFn =
-      std::function<void(const CountQuery*, size_t, EstimatorScratch&, double*)>;
-  std::vector<double> MapBatched(const std::vector<CountQuery>& queries,
-                                 const BatchFn& fn);
-
   /// Per-query estimates from any estimator exposing
   /// `double Estimate(const CountQuery&, EstimatorScratch&) const`.
   template <typename Estimator>
@@ -98,20 +84,6 @@ class ParallelRunner {
     return Map(queries,
                [&estimator](const CountQuery& query, EstimatorScratch& scratch,
                             Rng&) { return estimator.Estimate(query, scratch); });
-  }
-
-  /// Anatomy estimators take the batched path: one predicate
-  /// materialization per distinct predicate per batch instead of one cache
-  /// round-trip per query. Bit-identical to the generic overload (asserted
-  /// by parallel_query_test).
-  std::vector<double> EstimateAll(const AnatomyEstimator& estimator,
-                                  const std::vector<CountQuery>& queries) {
-    return MapBatched(queries, [&estimator](const CountQuery* batch,
-                                            size_t count,
-                                            EstimatorScratch& scratch,
-                                            double* out) {
-      estimator.EstimateBatch(batch, count, scratch, out);
-    });
   }
 
   /// Exact ground-truth counts, in parallel.
@@ -136,8 +108,7 @@ class ParallelRunner {
 
  private:
   ThreadPool pool_;
-  size_t batch_size_;
-  /// Shard-indexed worker state, reused across calls (warm arenas).
+  /// Shard-indexed worker state, reused across calls (warm scratches).
   std::vector<EstimatorScratch> worker_scratch_;
   std::vector<Rng> worker_rngs_;
   /// Per-shard result staging: workers write their shard's outputs here and

@@ -281,6 +281,18 @@ TEST_F(ParserTest, RejectsMalformedQueries) {
   expect_bad("COUNT WHERE Age BETWEEN 90 AND 10"); // empty range
   expect_bad("COUNT WHERE Age = 200");             // out of domain
   expect_bad("COUNT trailing");
+
+  // int64-extreme values on extreme grids (see CsvTest.RejectsOutOfDomain).
+  QuerySchema extreme;
+  extreme.qi_attributes = {MakeNumerical("x", 1, /*base=*/0, /*step=*/-1),
+                           MakeNumerical("y", 1, /*base=*/5000000000000000000)};
+  extreme.sensitive_attribute = MakeCategorical("s", 2);
+  for (const char* text : {"COUNT WHERE x = -9223372036854775808",
+                           "COUNT WHERE y = -9000000000000000000"}) {
+    EXPECT_EQ(ParseCountQuery(text, extreme).status().code(),
+              StatusCode::kOutOfRange)
+        << text;
+  }
 }
 
 TEST_F(ParserTest, FromPublicationSchemaWorks) {

@@ -116,6 +116,21 @@ TEST(GeneralizedIoTest, RejectsMalformedFiles) {
   EXPECT_FALSE(parse("h\n23,X,11000,flu\n").ok());              // bad value
   EXPECT_FALSE(parse("h\n23,M,11500,flu\n").ok());              // off grid
   EXPECT_TRUE(parse("h\n23..25,M,11000,flu\n").ok());
+
+  // int64-extreme boundaries on extreme grids (see
+  // CsvTest.RejectsOutOfDomain).
+  const std::vector<AttributeDef> extreme = {
+      MakeNumerical("x", 1, /*base=*/0, /*step=*/-1),
+      MakeNumerical("y", 1, /*base=*/5000000000000000000)};
+  for (const char* text : {"h\n-9223372036854775808,5000000000000000000,0\n",
+                           "h\n0,-9000000000000000000,0\n"}) {
+    std::istringstream is(text);
+    EXPECT_EQ(ReadGeneralizedCsv(extreme, MakeCategorical("s", 2), is)
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange)
+        << text;
+  }
 }
 
 TEST(FromPublishedRowsTest, Validation) {

@@ -194,7 +194,7 @@ TEST(ParallelRunnerTest, OneThreadAndEightThreadsAgreeBitwise) {
   ASSERT_EQ(anatomy_1.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     // Bit-identical, not just close: the estimate must not depend on
-    // sharding or on which worker's arena served the query.
+    // sharding or on which worker's scratch served the query.
     EXPECT_EQ(anatomy_1[i], anatomy_8[i]) << "query " << i;
     EXPECT_EQ(general_1[i], general_8[i]) << "query " << i;
   }
@@ -269,36 +269,6 @@ TEST(ParallelRunnerTest, RunWorkloadMatchesSequentialRunnerBitwise) {
               sequential.value().anatomy_error);
     EXPECT_EQ(parallel.value().summary.generalization_error,
               sequential.value().generalization_error);
-  }
-}
-
-TEST(ParallelRunnerTest, BatchedEstimateAllMatchesUnbatchedMapBitwise) {
-  // EstimateAll(AnatomyEstimator&) routes through MapBatched; the generic
-  // per-query Map must produce bit-identical results at every batch size
-  // and thread count (batching amortizes predicate materialization, it
-  // never changes arithmetic).
-  const PublishedCensus published = MakePublishedCensus(5000);
-  const std::vector<CountQuery> queries =
-      MakeQueries(published.dataset.microdata, 211, 41);
-  const AnatomyEstimator estimator(published.anatomized);
-
-  ParallelRunner reference(ParallelRunnerOptions{.num_threads = 1});
-  const std::vector<double> unbatched = reference.Map(
-      queries, [&estimator](const CountQuery& query, EstimatorScratch& scratch,
-                            Rng&) { return estimator.Estimate(query, scratch); });
-
-  for (size_t threads : {1u, 4u}) {
-    for (size_t batch_size : {1u, 5u, 32u, 500u}) {
-      ParallelRunner runner(ParallelRunnerOptions{.num_threads = threads,
-                                                  .batch_size = batch_size});
-      const std::vector<double> batched = runner.EstimateAll(estimator, queries);
-      ASSERT_EQ(batched.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(batched[i], unbatched[i])
-            << "threads=" << threads << " batch_size=" << batch_size
-            << " query=" << i;
-      }
-    }
   }
 }
 
@@ -471,83 +441,32 @@ TEST(SharedEstimatorHammerTest, AggregateEstimatorsAreReentrant) {
 // ------------------------------------------------ Kernel-path parallelism --
 
 TEST(KernelParallelTest, AllKernelConfigsAgreeBitwiseAcrossThreadCounts) {
-  // The determinism contract must hold for every (mode, cache) combination:
-  // result[i] depends only on queries[i] and the immutable estimator, never
-  // on sharding or on which thread warmed the cache.
+  // The determinism contract must hold for every kernel mode: result[i]
+  // depends only on queries[i] and the immutable estimator, never on
+  // sharding.
   const PublishedCensus published = MakePublishedCensus(6000);
   const std::vector<CountQuery> queries =
       MakeQueries(published.dataset.microdata, 300, 31);
 
   EstimatorOptions scalar;
   scalar.mode = KernelMode::kScalar;
-  EstimatorOptions kernel;
-  kernel.predcache.enabled = false;
-  EstimatorOptions cached;  // default: kernels + cache
 
   const AnatomyEstimator scalar_est(published.anatomized, scalar);
-  const AnatomyEstimator kernel_est(published.anatomized, kernel);
-  const AnatomyEstimator cached_est(published.anatomized, cached);
+  const AnatomyEstimator kernel_est(published.anatomized);
 
   ParallelRunner single(ParallelRunnerOptions{.num_threads = 1});
   const std::vector<double> kernel_1 = single.EstimateAll(kernel_est, queries);
-  const std::vector<double> cached_1 = single.EstimateAll(cached_est, queries);
   const std::vector<double> scalar_1 = single.EstimateAll(scalar_est, queries);
 
   for (size_t threads : {2u, 8u}) {
     ParallelRunner runner(ParallelRunnerOptions{.num_threads = threads});
     const std::vector<double> kernel_t = runner.EstimateAll(kernel_est, queries);
-    const std::vector<double> cached_t = runner.EstimateAll(cached_est, queries);
     const std::vector<double> scalar_t = runner.EstimateAll(scalar_est, queries);
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(kernel_t[i], kernel_1[i]) << threads << " threads, query " << i;
-      EXPECT_EQ(cached_t[i], cached_1[i]) << threads << " threads, query " << i;
       EXPECT_EQ(scalar_t[i], scalar_1[i]) << threads << " threads, query " << i;
     }
   }
-
-  // The cache changes time, never bits.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(cached_1[i], kernel_1[i]) << "query " << i;
-  }
-}
-
-// A deliberately tiny cache capacity forces constant eviction while many
-// threads insert and look up concurrently: the TSan payload for the cache's
-// lock discipline, and in any build a proof that leased bitmaps stay valid
-// after their cache entry is evicted (shared ownership, not residency).
-TEST(KernelParallelTest, TinyCacheUnderConcurrentEvictionStaysCorrect) {
-  const PublishedCensus published = MakePublishedCensus(3000);
-  const std::vector<CountQuery> queries =
-      MakeQueries(published.dataset.microdata, 48, 37);
-
-  EstimatorOptions tiny;
-  tiny.predcache.capacity = 2;  // far below the working set: evicts nonstop
-  const AnatomyEstimator estimator(published.anatomized, tiny);
-
-  std::vector<double> expected(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = estimator.Estimate(queries[i]);
-  }
-
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 5;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t k = 0; k < queries.size(); ++k) {
-          const size_t i = (k + static_cast<size_t>(t) * 11) % queries.size();
-          if (estimator.Estimate(queries[i]) != expected[i]) {
-            mismatches.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------------------------- Out-of-domain sensitive codes --

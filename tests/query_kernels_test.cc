@@ -1,16 +1,15 @@
 // Property tests for the group-clustered block kernel: across a grid of
 // dataset shapes, privacy parameters, and workload configurations, the
-// kernel (with and without the predicate-bitmap cache, one query or a
-// batch at a time) must agree with the retained scalar reference within
-// 1e-9 relative on every COUNT/SUM/AVG estimate and equal the fold of the
+// kernel must agree with the retained scalar reference within 1e-9
+// relative on every COUNT/SUM/AVG estimate and equal the fold of the
 // row-scan oracle's size-class partials exactly, and the per-group match
-// counts must be integer-identical. Plus unit tests for the predicate cache
-// itself (hit/miss/eviction accounting, kill switch, lease validity across
-// eviction) and the zero-QI-predicate fast path.
+// counts must be integer-identical. Plus the zero-QI-predicate fast path
+// and the engine's huge-page block layout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -19,15 +18,13 @@
 
 #include "anatomy/anatomized_tables.h"
 #include "anatomy/anatomizer.h"
-#include "common/arena.h"
+#include "common/huge_page_block.h"
 #include "common/rng.h"
 #include "data/census_generator.h"
 #include "data/dataset.h"
-#include "obs/metrics.h"
 #include "query/aggregate.h"
 #include "query/anatomy_estimator.h"
 #include "query/bitmap.h"
-#include "query/pred_cache.h"
 #include "table/schema.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -106,9 +103,6 @@ double FoldValue(std::span<const AnatomyQueryEngine::GroupAggregatePartial> p,
 TEST(QueryKernelsPropertyTest, KernelsMatchScalarReferenceAcrossGrid) {
   EstimatorOptions scalar;
   scalar.mode = KernelMode::kScalar;
-  EstimatorOptions kernel;
-  kernel.predcache.enabled = false;
-  EstimatorOptions cached;  // defaults: kernels + cache
 
   for (int d : {3, 5}) {
     for (int l : {4, 10}) {
@@ -116,8 +110,7 @@ TEST(QueryKernelsPropertyTest, KernelsMatchScalarReferenceAcrossGrid) {
         const AnatomizedCensus census = MakeAnatomizedCensus(4000, d, l, seed);
         const Microdata& md = census.dataset.microdata;
         const AnatomyAggregateEstimator scalar_est(census.tables, scalar);
-        const AnatomyAggregateEstimator kernel_est(census.tables, kernel);
-        const AnatomyAggregateEstimator cached_est(census.tables, cached);
+        const AnatomyAggregateEstimator kernel_est(census.tables);
 
         for (int qd : {2, 0}) {  // 0 = all d attributes
           for (bool ranges : {false, true}) {
@@ -134,17 +127,11 @@ TEST(QueryKernelsPropertyTest, KernelsMatchScalarReferenceAcrossGrid) {
                 q.measure_qi = static_cast<size_t>(i) % md.d();
                 const double ref = scalar_est.Estimate(q);
                 const double ker = kernel_est.Estimate(q);
-                const double cac = cached_est.Estimate(q);
                 EXPECT_TRUE(WithinRel(ref, ker))
                     << "d=" << d << " l=" << l << " seed=" << seed
                     << " qd=" << qd << " ranges=" << ranges << " query=" << i
                     << " kind=" << static_cast<int>(kind) << ": scalar=" << ref
                     << " kernel=" << ker;
-                // The cache must never change a bit relative to the
-                // uncached kernel path.
-                EXPECT_EQ(ker, cac)
-                    << "d=" << d << " l=" << l << " seed=" << seed
-                    << " qd=" << qd << " query=" << i;
               }
             }
           }
@@ -155,17 +142,14 @@ TEST(QueryKernelsPropertyTest, KernelsMatchScalarReferenceAcrossGrid) {
 }
 
 TEST(QueryKernelsPropertyTest, KernelEqualsOracleFoldAcrossGrid) {
-  // The same grid: every COUNT and SUM of the kernel, cached or not, is the
-  // fold of the row-scan oracle's size-class partials, bit for bit.
-  EstimatorOptions kernel;
-  kernel.predcache.enabled = false;
+  // The same grid: every COUNT and SUM of the kernel is the fold of the
+  // row-scan oracle's size-class partials, bit for bit.
   for (int d : {3, 5}) {
     for (int l : {4, 10}) {
       for (uint64_t seed : {11u, 12u}) {
         const AnatomizedCensus census = MakeAnatomizedCensus(4000, d, l, seed);
         const Microdata& md = census.dataset.microdata;
-        const AnatomyAggregateEstimator kernel_est(census.tables, kernel);
-        const AnatomyAggregateEstimator cached_est(census.tables);
+        const AnatomyAggregateEstimator kernel_est(census.tables);
         for (int qd : {2, 0}) {
           for (bool ranges : {false, true}) {
             const std::vector<CountQuery> queries = GridQueries(
@@ -185,7 +169,6 @@ TEST(QueryKernelsPropertyTest, KernelEqualsOracleFoldAcrossGrid) {
                     << "d=" << d << " l=" << l << " seed=" << seed
                     << " qd=" << qd << " ranges=" << ranges << " query=" << i
                     << " sum=" << need_sum;
-                EXPECT_EQ(cached_est.Estimate(q), want);
               }
             }
           }
@@ -262,166 +245,6 @@ TEST(QueryKernelsTest, ZeroQiFastPathMatchesScalar) {
   padded.predicates.sensitive_predicate =
       AttributePredicate(0, {-5, domain, domain + 7});
   EXPECT_EQ(kernel_est.Estimate(padded), 0.0);
-}
-
-// ----------------------------------------------------- Predicate cache ----
-
-TEST(PredicateCacheTest, CountsHitsMissesAndEvictions) {
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  obs::Counter* hits = registry.GetCounter("query.predcache.hits");
-  obs::Counter* misses = registry.GetCounter("query.predcache.misses");
-  obs::Counter* races = registry.GetCounter("query.predcache.races");
-  obs::Counter* evictions = registry.GetCounter("query.predcache.evictions");
-  const uint64_t h0 = hits->value();
-  const uint64_t m0 = misses->value();
-  const uint64_t r0 = races->value();
-  const uint64_t e0 = evictions->value();
-
-  PredicateCacheOptions options;
-  options.capacity = 2;
-  options.shards = 1;  // single LRU domain: eviction order is deterministic
-  PredicateBitmapCache cache(options);
-  int computes = 0;
-  uint64_t lookups = 0;
-  const auto lookup = [&](size_t column, std::vector<Code> values) {
-    ++lookups;
-    return cache.GetOrCompute(column, values, [&](Bitmap& out) {
-      ++computes;
-      out.Reset(8);
-      out.Set(column);
-    });
-  };
-
-  auto a = lookup(0, {1});     // miss
-  auto a2 = lookup(0, {1});    // hit
-  EXPECT_EQ(a.get(), a2.get());  // same resident bitmap, not a copy
-  lookup(1, {2});              // miss (cache full: {a, b})
-  lookup(2, {3});              // miss -> evicts key a (LRU)
-  EXPECT_EQ(cache.size(), 2u);
-  lookup(0, {1});              // miss again: it was evicted
-  EXPECT_EQ(computes, 4);
-
-  EXPECT_EQ(hits->value() - h0, 1u);
-  EXPECT_EQ(misses->value() - m0, 4u);
-  EXPECT_EQ(evictions->value() - e0, 2u);
-
-  // The lease taken before eviction is still a valid bitmap: shared
-  // ownership keeps it alive, residency only affects future lookups.
-  EXPECT_EQ(a->size(), 8u);
-  EXPECT_TRUE(a->Test(0));
-
-  // Same values under a different column is a different key.
-  lookup(2, {3});  // hit
-  EXPECT_EQ(hits->value() - h0, 2u);
-
-  // Accounting invariant: every lookup is exactly one hit or one miss.
-  EXPECT_EQ((hits->value() - h0) + (misses->value() - m0), lookups);
-  EXPECT_EQ(races->value() - r0, 0u);  // single-threaded, no re-entrancy
-}
-
-TEST(PredicateCacheTest, RaceLostInsertKeepsInvariantAndCountsRace) {
-  // Deterministic reproduction of the concurrent miss-miss race: while the
-  // outer GetOrCompute of key (0,{1}) is still computing (outside any
-  // lock), the same key is inserted by a nested lookup. The outer call must
-  // then discard its duplicate work, adopt the resident bitmap, and count
-  // the event in query.predcache.races — while each of the two lookups
-  // still counts exactly one miss, so hits + misses == lookups holds.
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  obs::Counter* hits = registry.GetCounter("query.predcache.hits");
-  obs::Counter* misses = registry.GetCounter("query.predcache.misses");
-  obs::Counter* races = registry.GetCounter("query.predcache.races");
-  const uint64_t h0 = hits->value();
-  const uint64_t m0 = misses->value();
-  const uint64_t r0 = races->value();
-
-  PredicateBitmapCache cache(PredicateCacheOptions{});
-  int computes = 0;
-  std::shared_ptr<const Bitmap> inner;
-  const auto outer = cache.GetOrCompute(0, {1}, [&](Bitmap& out) {
-    ++computes;
-    out.Reset(8);
-    out.Set(0);
-    // The "other thread", interleaved mid-compute.
-    inner = cache.GetOrCompute(0, {1}, [&](Bitmap& in) {
-      ++computes;
-      in.Reset(8);
-      in.Set(0);
-    });
-  });
-
-  EXPECT_EQ(computes, 2);            // both sides really computed
-  EXPECT_EQ(outer.get(), inner.get());  // ...but the loser adopted the winner
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(hits->value() - h0, 0u);
-  EXPECT_EQ(misses->value() - m0, 2u);  // two lookups, two misses: invariant
-  EXPECT_EQ(races->value() - r0, 1u);   // one lost insert, visible
-
-  // The survivor is resident: the next lookup is a plain hit.
-  const auto again = cache.GetOrCompute(0, {1}, [](Bitmap&) { FAIL(); });
-  EXPECT_EQ(again.get(), outer.get());
-  EXPECT_EQ(hits->value() - h0, 1u);
-}
-
-// ----------------------------------------------------- Batched evaluation --
-
-TEST(BatchedEvaluationTest, BatchEstimatesAreBitIdenticalToSingle) {
-  const AnatomizedCensus census = MakeAnatomizedCensus(3000, 4, 6, 51);
-  const Microdata& md = census.dataset.microdata;
-
-  EstimatorOptions uncached;
-  uncached.predcache.enabled = false;
-  EstimatorOptions scalar;
-  scalar.mode = KernelMode::kScalar;
-  const AnatomyAggregateEstimator cached_est(census.tables);
-  const AnatomyAggregateEstimator uncached_est(census.tables, uncached);
-  const AnatomyAggregateEstimator scalar_est(census.tables, scalar);
-
-  const std::vector<CountQuery> base =
-      GridQueries(md, /*qd=*/2, /*s=*/0.08, /*count=*/37, 61, true);
-  std::vector<AggregateQuery> queries;
-  for (size_t i = 0; i < base.size(); ++i) {
-    AggregateQuery q;
-    q.predicates = base[i];
-    q.kind = static_cast<AggregateKind>(i % 3);
-    q.measure_qi = i % md.d();
-    queries.push_back(q);
-  }
-
-  // Odd batch sizes exercise partial final batches and the 1-query batch.
-  for (const AnatomyAggregateEstimator* est :
-       {&cached_est, &uncached_est, &scalar_est}) {
-    EstimatorScratch scratch;
-    std::vector<double> single(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      single[i] = est->Estimate(queries[i], scratch);
-    }
-    for (size_t batch_size : {1u, 7u, 37u, 64u}) {
-      std::vector<double> batched(queries.size());
-      for (size_t b = 0; b < queries.size(); b += batch_size) {
-        const size_t count = std::min(batch_size, queries.size() - b);
-        est->EstimateBatch(&queries[b], count, scratch, &batched[b]);
-      }
-      for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(batched[i], single[i])
-            << "batch_size=" << batch_size << " query=" << i;
-      }
-    }
-  }
-}
-
-TEST(BatchedEvaluationTest, CountBatchMatchesAnatomyEstimator) {
-  const AnatomizedCensus census = MakeAnatomizedCensus(2000, 3, 5, 53);
-  const AnatomyEstimator estimator(census.tables);
-  const std::vector<CountQuery> queries =
-      GridQueries(census.dataset.microdata, 2, 0.1, 23, 67, false);
-
-  EstimatorScratch scratch;
-  std::vector<double> batched(queries.size());
-  estimator.EstimateBatch(queries.data(), queries.size(), scratch, batched.data());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(batched[i], estimator.Estimate(queries[i], scratch))
-        << "query " << i;
-  }
 }
 
 // ----------------------------------------------- Size-class partials --
@@ -634,15 +457,12 @@ TEST(BlockKernelTest, EstimatesEqualTheFoldOfTheRowScanOracle) {
   // Codes beyond 2^16; a small table keeps the 70000-bitmap index small.
   pubs.push_back(MakeShapedPublication({1, 5, 64, 65, 90}, 70000, 6));
 
-  EstimatorOptions uncached;
-  uncached.predcache.enabled = false;
   for (size_t pi = 0; pi < pubs.size(); ++pi) {
     const ShapedPublication& pub = pubs[pi];
     const AnatomizedTables& tables = pub.tables;
     const Code wide = tables.qit().schema().attribute(3).domain_size;
-    const AnatomyAggregateEstimator cached_est(tables);
-    const AnatomyAggregateEstimator uncached_est(tables, uncached);
-    const AnatomyQueryEngine engine(tables, uncached);
+    const AnatomyAggregateEstimator estimator(tables);
+    const AnatomyQueryEngine engine(tables, EstimatorOptions{});
 
     std::vector<CountQuery> queries;
     for (const AttributePredicate& sensitive :
@@ -667,8 +487,6 @@ TEST(BlockKernelTest, EstimatesEqualTheFoldOfTheRowScanOracle) {
       }
     }
 
-    std::vector<AggregateQuery> batch;
-    std::vector<double> want;
     EstimatorScratch scratch;
     std::vector<AnatomyQueryEngine::GroupAggregatePartial> got;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -701,17 +519,7 @@ TEST(BlockKernelTest, EstimatesEqualTheFoldOfTheRowScanOracle) {
         aq.predicates = q;
         aq.kind = need_sum ? AggregateKind::kSum : AggregateKind::kCount;
         aq.measure_qi = m;
-        EXPECT_EQ(uncached_est.Estimate(aq, scratch), value);
-        EXPECT_EQ(cached_est.Estimate(aq, scratch), value);
-        batch.push_back(aq);
-        want.push_back(value);
-      }
-    }
-    for (const AnatomyAggregateEstimator* est : {&cached_est, &uncached_est}) {
-      std::vector<double> batched(batch.size());
-      est->EstimateBatch(batch.data(), batch.size(), scratch, batched.data());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_EQ(batched[i], want[i]) << "pub=" << pi << " batch entry " << i;
+        EXPECT_EQ(estimator.Estimate(aq, scratch), value);
       }
     }
   }
@@ -750,10 +558,8 @@ TEST(BlockKernelTest, GroupsCarryTheirCountsAcrossBlocks) {
   auto built = AnatomizedTables::Build(md, partition);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const AnatomizedTables& tables = built.value();
-  EstimatorOptions uncached;
-  uncached.predcache.enabled = false;
-  const AnatomyQueryEngine engine(tables, uncached);
-  const AnatomyAggregateEstimator cached_est(tables);
+  const AnatomyQueryEngine engine(tables, EstimatorOptions{});
+  const AnatomyAggregateEstimator estimator(tables);
   EstimatorScratch scratch;
 
   // Row sets whose matches end before a block without any: the block
@@ -784,68 +590,86 @@ TEST(BlockKernelTest, GroupsCarryTheirCountsAcrossBlocks) {
         aq.predicates = q;
         aq.kind = need_sum ? AggregateKind::kSum : AggregateKind::kCount;
         aq.measure_qi = 1;
-        EXPECT_EQ(cached_est.Estimate(aq, scratch), FoldValue(oracle, need_sum))
+        EXPECT_EQ(estimator.Estimate(aq, scratch), FoldValue(oracle, need_sum))
             << "rows [" << lo << ", " << hi << "] sum=" << need_sum;
       }
     }
   }
 }
 
-TEST(PredicateCacheTest, KillSwitchBuildsNoCache) {
-  obs::Counter* misses =
-      obs::MetricRegistry::Global().GetCounter("query.predcache.misses");
-  const uint64_t m0 = misses->value();
+// ------------------------------------------------------ Huge-page block --
 
-  const AnatomizedCensus census = MakeAnatomizedCensus(1500, 3, 4, 31);
-  EstimatorOptions off;
-  off.predcache.enabled = false;
-  const AnatomyEstimator disabled(census.tables, off);
-  const AnatomyEstimator enabled(census.tables);
-
-  const std::vector<CountQuery> queries =
-      GridQueries(census.dataset.microdata, 2, 0.1, 10, 41, false);
-  std::vector<double> expected(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = disabled.Estimate(queries[i]);
+TEST(HugePageBlockTest, AlignedRoundedAndEngineArraysDisjoint) {
+  constexpr size_t kHuge = HugePageBlock::kHugePageBytes;
+  for (size_t bytes : {size_t{1}, kHuge - 1, kHuge, kHuge + 1, 3 * kHuge + 7}) {
+    HugePageBlock block(bytes);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(block.data()) % kHuge, 0u);
+    EXPECT_EQ(block.size() % kHuge, 0u);
+    EXPECT_GE(block.size(), bytes);
+    EXPECT_LT(block.size() - bytes, kHuge);
+    // Mapped zeroed and writable to the last rounded-up byte.
+    EXPECT_EQ(block.data()[0], std::byte{0});
+    EXPECT_EQ(block.data()[block.size() - 1], std::byte{0});
+    block.data()[block.size() - 1] = std::byte{1};
   }
-  // Disabled: the predcache counters never move.
-  EXPECT_EQ(misses->value(), m0);
+  EXPECT_EQ(HugePageBlock(0).data(), nullptr);
+  HugePageBlock from(10);
+  std::byte* const mapping = from.data();
+  HugePageBlock to(std::move(from));
+  EXPECT_EQ(to.data(), mapping);
+  EXPECT_EQ(from.data(), nullptr);
 
-  // Enabled: same answers, and the cache actually engaged.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(enabled.Estimate(queries[i]), expected[i]) << "query " << i;
+  // The engine's arrays: u8 and u32 code columns, prefix histograms on.
+  const ShapedPublication pub =
+      MakeShapedPublication({1, 5, 64, 65, 4096, 5000}, 300, 9);
+  const AnatomizedTables& tables = pub.tables;
+  std::vector<Code> qi_domains;
+  for (size_t c = 0; c + 1 < tables.qit().num_columns(); ++c) {
+    qi_domains.push_back(tables.qit().schema().attribute(c).domain_size);
   }
-  EXPECT_GT(misses->value(), m0);
-}
+  const RowId n = tables.num_rows();
+  const GroupId m = tables.num_groups();
+  const Code sens = tables.st().schema().attribute(1).domain_size;
+  const EngineLayout layout = ComputeEngineLayout(n, m, qi_domains, sens);
+  EXPECT_EQ(layout.group_start.bytes, (m + 1) * sizeof(RowId));
+  EXPECT_EQ(layout.class_slot.bytes, m * sizeof(uint32_t));
+  EXPECT_EQ(layout.prefix_mass.bytes, size_t{12} * m * sizeof(uint32_t));
+  ASSERT_EQ(layout.codes.size(), 4u);
+  EXPECT_EQ(layout.codes[0].bytes, n * sizeof(uint8_t));   // domain 8
+  EXPECT_EQ(layout.codes[3].bytes, n * sizeof(uint32_t));  // domain 300
+  std::vector<EngineLayout::Range> ranges = {
+      layout.group_start, layout.block_group, layout.class_slot,
+      layout.prefix_mass};
+  ranges.insert(ranges.end(), layout.codes.begin(), layout.codes.end());
+  std::sort(ranges.begin(), ranges.end(),
+            [](const auto& a, const auto& b) { return a.offset < b.offset; });
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    EXPECT_EQ(ranges[i].offset % 64, 0u) << "range " << i;
+    const size_t end = ranges[i].offset + ranges[i].bytes;
+    EXPECT_LE(end, i + 1 < ranges.size() ? ranges[i + 1].offset : layout.bytes)
+        << "range " << i;
+  }
+  const AnatomyQueryEngine engine(tables, EstimatorOptions{});
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(engine.block().data()) % kHuge, 0u);
+  EXPECT_GE(engine.block().size(), layout.bytes);
+  EXPECT_LT(engine.block().size() - layout.bytes, kHuge);
 
-TEST(PredicateCacheTest, DisabledMetricsStillServeCorrectBitmaps) {
-  // With metrics globally off the cache must still function (counters are
-  // simply not incremented) and answers must be bit-identical.
-  const AnatomizedCensus census = MakeAnatomizedCensus(1500, 3, 4, 33);
-  const AnatomyEstimator estimator(census.tables);
-  const std::vector<CountQuery> queries =
-      GridQueries(census.dataset.microdata, 2, 0.1, 10, 43, false);
-
-  std::vector<double> baseline(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    baseline[i] = estimator.Estimate(queries[i]);
-  }
-  obs::SetMetricsEnabled(false);
-  const AnatomyEstimator dark(census.tables);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(dark.Estimate(queries[i]), baseline[i]) << "query " << i;
-    EXPECT_EQ(estimator.Estimate(queries[i]), baseline[i]) << "query " << i;
-  }
-  obs::SetMetricsEnabled(true);
+  // Past the memory gate the block holds no prefix histograms; the scalar
+  // reference builds no block at all.
+  EXPECT_EQ(ComputeEngineLayout(100, GroupId{1} << 20, {8}, 17)
+                .prefix_mass.bytes,
+            0u);
+  EstimatorOptions scalar;
+  scalar.mode = KernelMode::kScalar;
+  EXPECT_EQ(AnatomyQueryEngine(tables, scalar).block().size(), 0u);
 }
 
 // ------------------------------------------- Memory-substrate sweeps ----
 
-TEST(MemorySubstrateSweepTest, ArenaAndSummaryTogglesAreBitIdentical) {
-  // The arena changes where bytes live and the occupancy summary changes
-  // which zero words get inspected; neither may change a single estimate
-  // bit. Sweep all four (arena, summary) configurations over a mixed
-  // COUNT/SUM workload and demand exact double equality against the
+TEST(MemorySubstrateSweepTest, SummaryToggleIsBitIdentical) {
+  // The occupancy summary changes which zero words get inspected; it may
+  // not change a single estimate bit. Sweep both summary settings over a
+  // mixed COUNT/SUM workload and demand exact double equality against the
   // as-built configuration.
   const AnatomizedCensus census = MakeAnatomizedCensus(3000, 4, 6, 91);
   const Microdata& md = census.dataset.microdata;
@@ -860,34 +684,28 @@ TEST(MemorySubstrateSweepTest, ArenaAndSummaryTogglesAreBitIdentical) {
     queries.push_back(q);
   }
 
-  const bool arena_before = arena::Enabled();
   const bool summary_before = Bitmap::SummaryEnabled();
 
   std::vector<double> baseline;
-  for (int arena_on = 1; arena_on >= 0; --arena_on) {
-    for (int summary_on = 1; summary_on >= 0; --summary_on) {
-      arena::SetEnabled(arena_on != 0);
-      Bitmap::SetSummaryEnabled(summary_on != 0);
-      // Fresh estimator per configuration so its index structures are built
-      // under exactly this (arena, summary) setting.
-      const AnatomyAggregateEstimator estimator(census.tables);
-      std::vector<double> got(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        got[i] = estimator.Estimate(queries[i]);
-      }
-      if (baseline.empty()) {
-        baseline = got;
-        continue;
-      }
-      for (size_t i = 0; i < queries.size(); ++i) {
-        EXPECT_EQ(got[i], baseline[i])
-            << "arena=" << arena_on << " summary=" << summary_on << " query "
-            << i;
-      }
+  for (int summary_on = 1; summary_on >= 0; --summary_on) {
+    Bitmap::SetSummaryEnabled(summary_on != 0);
+    // Fresh estimator per setting so its index structures are built under
+    // exactly this summary setting.
+    const AnatomyAggregateEstimator estimator(census.tables);
+    std::vector<double> got(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      got[i] = estimator.Estimate(queries[i]);
+    }
+    if (baseline.empty()) {
+      baseline = got;
+      continue;
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(got[i], baseline[i])
+          << "summary=" << summary_on << " query " << i;
     }
   }
 
-  arena::SetEnabled(arena_before);
   Bitmap::SetSummaryEnabled(summary_before);
 }
 

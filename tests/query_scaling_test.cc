@@ -1,24 +1,16 @@
-// Thread-scaling acceptance test for the de-contended query path, plus a
-// concurrency hammer for the sharded predicate cache.
+// Thread-scaling acceptance test for the query path.
 //
-// The throughput test is self-gating: it measures wall-clock speedup, so it
-// skips itself (GTEST_SKIP) on machines with fewer than 8 hardware threads
-// and under sanitizer builds (instrumentation overhead makes wall-clock
-// ratios meaningless there). On qualifying hardware it asserts the 8-thread
-// COUNT throughput is at least 3x the single-thread throughput over the
-// same workload — the regression guard for the flat-scaling bug where every
-// hit serialized on the predicate cache's single mutex.
-//
-// The cache hammer has no gate: it is the ThreadSanitizer payload for the
-// sharded cache's hit and publish paths (tools/check_sanitizers.sh scaling)
-// and verifies, in any build, that concurrent lookups with constant
-// eviction return correct bitmaps and keep hits + misses == lookups exact.
+// The test is self-gating: it measures wall-clock speedup, so it skips
+// itself (GTEST_SKIP) on machines with fewer than 8 hardware threads and
+// under sanitizer builds (instrumentation overhead makes wall-clock ratios
+// meaningless there). On qualifying hardware it asserts the 8-thread COUNT
+// throughput is at least 3x the single-thread throughput over the same
+// workload — the regression guard against shared state re-entering the
+// per-query path.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -27,9 +19,7 @@
 #include "common/stopwatch.h"
 #include "data/census_generator.h"
 #include "data/dataset.h"
-#include "obs/metrics.h"
 #include "query/anatomy_estimator.h"
-#include "query/pred_cache.h"
 #include "workload/parallel_runner.h"
 #include "workload/workload.h"
 
@@ -87,7 +77,7 @@ double MeasureThroughput(ParallelRunner& runner,
                          const AnatomyEstimator& estimator,
                          const std::vector<CountQuery>& queries,
                          double min_seconds) {
-  // One untimed round to warm the cache, the pool, and the allocator.
+  // One untimed round to warm the scratches, the pool, and the allocator.
   (void)runner.EstimateAll(estimator, queries);
   size_t served = 0;
   Stopwatch watch;
@@ -125,66 +115,6 @@ TEST(QueryScalingTest, CountThroughputScalesToEightThreads) {
   EXPECT_GE(qps_8, 3.0 * qps_1)
       << "8-thread COUNT throughput " << qps_8 << " q/s is under 3x the "
       << "1-thread " << qps_1 << " q/s — the query path has re-contended";
-}
-
-TEST(QueryScalingTest, ShardedCacheConcurrentHammerKeepsInvariant) {
-  // 8 threads replay overlapping key sets against a cache whose capacity is
-  // far below the working set, so the run exercises every transition:
-  // probe-outside-lock hits, compute-outside-lock misses, race-lost inserts,
-  // and eviction republishing — while leases taken at any moment must stay
-  // valid. Runs on any machine; under TSan this is the lock-discipline
-  // proof for the whole cache.
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  obs::Counter* hits = registry.GetCounter("query.predcache.hits");
-  obs::Counter* misses = registry.GetCounter("query.predcache.misses");
-  obs::Counter* races = registry.GetCounter("query.predcache.races");
-  const uint64_t h0 = hits->value();
-  const uint64_t m0 = misses->value();
-  const uint64_t r0 = races->value();
-
-  PredicateCacheOptions options;
-  options.capacity = 8;  // working set is kKeys = 64: evicts constantly
-  options.shards = 4;
-  PredicateBitmapCache cache(options);
-
-  constexpr size_t kThreads = 8;
-  constexpr size_t kKeys = 64;
-  constexpr size_t kRounds = 400;
-  std::atomic<uint64_t> lookups{0};
-  std::atomic<int> wrong_bitmaps{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (size_t round = 0; round < kRounds; ++round) {
-        for (size_t k = 0; k < kKeys; ++k) {
-          // Different walk order per thread maximizes cross-shard overlap.
-          const size_t key = (k * (2 * t + 1) + round) % kKeys;
-          const std::vector<Code> values = {static_cast<Code>(key),
-                                            static_cast<Code>(key + 1)};
-          lookups.fetch_add(1, std::memory_order_relaxed);
-          const auto lease =
-              cache.GetOrCompute(key % 5, values, [&](Bitmap& out) {
-                out.Reset(kKeys + 64);
-                out.Set(key);
-              });
-          // The lease must describe this key, no matter which thread
-          // computed it or whether the entry was since evicted.
-          if (!lease->Test(key) || lease->Count() != 1) {
-            wrong_bitmaps.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(wrong_bitmaps.load(), 0);
-  // The accounting invariant holds exactly even under contention: every
-  // lookup is one hit or one miss; race-lost inserts are misses that ALSO
-  // bump the races counter, never a third category.
-  EXPECT_EQ((hits->value() - h0) + (misses->value() - m0), lookups.load());
-  EXPECT_LE(races->value() - r0, misses->value() - m0);
 }
 
 }  // namespace

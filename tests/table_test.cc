@@ -178,6 +178,20 @@ TEST(CsvTest, RejectsOffGridNumeric) {
 TEST(CsvTest, RejectsOutOfDomain) {
   std::istringstream is("Age,Sex,Zipcode\n230,M,11000\n");
   EXPECT_FALSE(ReadCsv(SmallSchema(), is).ok());
+
+  // int64-extreme values on extreme grids: with step -1, INT64_MIN's code
+  // would be INT64_MIN / -1 (a trap in 64 bits); with base 5e18, -9e18's
+  // offset leaves the int64 range. Both are plain out-of-domain values.
+  std::vector<AttributeDef> defs;
+  defs.push_back(MakeNumerical("x", 1, /*base=*/0, /*step=*/-1));
+  defs.push_back(MakeNumerical("y", 1, /*base=*/5000000000000000000));
+  const SchemaPtr extreme = std::make_shared<Schema>(std::move(defs));
+  for (const char* text : {"x,y\n-9223372036854775808,5000000000000000000\n",
+                           "x,y\n0,-9000000000000000000\n"}) {
+    std::istringstream in(text);
+    EXPECT_EQ(ReadCsv(extreme, in).status().code(), StatusCode::kOutOfRange)
+        << text;
+  }
 }
 
 TEST(CsvTest, SkipsBlankLinesAndSupportsNoHeader) {

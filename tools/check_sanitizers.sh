@@ -11,13 +11,12 @@
 #   tools/check_sanitizers.sh tsan         # one sanitizer only
 #   tools/check_sanitizers.sh faults       # both sanitizers, fault sweep only
 #   tools/check_sanitizers.sh obs          # both sanitizers, obs + query hammer
-#   tools/check_sanitizers.sh kernels      # both sanitizers, query kernels, cache,
-#                                          # node partials
+#   tools/check_sanitizers.sh kernels      # both sanitizers, query kernels, huge-page
+#                                          # block, node partials
 #   tools/check_sanitizers.sh sharded      # both sanitizers, sharded build + streaming
-#   tools/check_sanitizers.sh scaling      # both sanitizers, sharded cache + parallel path
+#   tools/check_sanitizers.sh scaling      # both sanitizers, parallel query path
 #   tools/check_sanitizers.sh chaos        # both sanitizers, dist serving + chaos sweep
 #   tools/check_sanitizers.sh slo          # both sanitizers, SLO + flight recorder + tracing
-#   tools/check_sanitizers.sh arena        # both sanitizers, memory substrate + its hot users
 #   tools/check_sanitizers.sh serve        # both sanitizers, serving layer + swap chaos
 #   tools/check_sanitizers.sh tsan -R parallel_query_test
 #                                          # extra args passed to ctest
@@ -49,23 +48,22 @@ if [[ $# -ge 1 ]]; then
       ;;
     kernels)
       # The query-kernel smoke check: query_kernels_test pins the block
-      # kernel to the row-scan oracle and the scalar reference (and
-      # exercises cache eviction), while parallel_query_test's tiny-capacity
-      # cache hammer makes concurrent insert/evict/lease races visible to
-      # TSan and use-after-evict visible to ASan. The same kernel computes
-      # every node's partials, so dist_test and serve_test run it from the
-      # estimator's concurrent node computes.
+      # kernel to the row-scan oracle and the scalar reference and carves
+      # the engine's huge-page block, query_test and common_test cover the
+      # bitmaps, the index and the summaries' hierarchical bitset, and
+      # parallel_query_test shares one engine across threads. The same
+      # kernel computes every node's partials, so dist_test and serve_test
+      # run it from the estimator's concurrent node computes.
       extra=(-R
-        '^(query_kernels_test|parallel_query_test|dist_test|serve_test)$')
+        '^(query_kernels_test|query_test|common_test|parallel_query_test|dist_test|serve_test)$')
       shift
       ;;
     scaling)
-      # The de-contended query-path smoke check: query_scaling_test's
-      # sharded-cache hammer drives the probe-outside-lock hit path, compute-outside-
-      # lock misses, race-lost inserts, and copy-and-publish eviction under
-      # TSan (the throughput gate itself self-skips under sanitizers), and
-      # parallel_query_test proves the batched evaluation and per-thread
-      # histogram shards stay bit-deterministic while contended.
+      # The parallel query-path smoke check: parallel_query_test proves one
+      # shared estimator and the per-thread histogram shards stay
+      # bit-deterministic while contended, and query_scaling_test builds
+      # its workload under the sanitizer (its throughput gate self-skips
+      # there).
       extra=(-R '^(query_scaling_test|parallel_query_test)$')
       shift
       ;;
@@ -97,15 +95,6 @@ if [[ $# -ge 1 ]]; then
       # response is explained by a recorder event while the whole sweep runs
       # under the sanitizer.
       extra=(-R '^(slo_test|flightrec_test|obs_test|chaos_test)$')
-      shift
-      ;;
-    arena)
-      # The memory-substrate smoke check: arena_test's 8-thread hammer gives
-      # TSan the concurrent alloc/free traffic and its poison-on-free death
-      # test only fires under ASan (it self-skips elsewhere);
-      # query_kernels_test runs the arena-on/off bit-identity sweep over the
-      # query structures that live on the arena.
-      extra=(-R '^(arena_test|query_kernels_test)$')
       shift
       ;;
     serve)
