@@ -9,12 +9,10 @@
 // BENCH_query_kernels.json): one record per (aggregate, path, threads) with
 // queries/s, rows/s, speedup vs the same path at 1 thread, and the p50/p99
 // of the `query.latency_ns` histogram for exactly that run (the histogram
-// is reset before each timed section). Three more gates exit nonzero:
+// is reset before each timed section). Two more gates exit nonzero:
 //   - kernel COUNT at 8 worker threads must reach 3 x min(8, hardware
 //     threads) / 8 times its 1-thread rate (3x on an 8-thread host; the
 //     artifact records "hardware_threads" and the bar it was held to);
-//   - the summary-guided sparse COUNT sweep must beat the linear walk by
-//     >= 1.3x;
 //   - after warmup, the one-query Estimate() replay loop must make zero
 //     heap allocations (counted by the bench's operator new hook, which
 //     sanitizer builds compile out).
@@ -81,93 +79,6 @@ double MaxRelDiff(const std::vector<double>& a, const std::vector<double>& b) {
     worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
   }
   return worst;
-}
-
-struct SparsePoint {
-  double density = 0.0;
-  double off_s = 0.0;
-  double on_s = 0.0;
-  double speedup = 0.0;
-};
-
-/// Low-selectivity COUNT sweep: the dense-selective COUNT kernel shape
-/// (materialize the conjunction, Count it, weighted walk over its set bits)
-/// at <= 1% set-bit density, with the word-occupancy summary off vs on.
-///
-/// Set bits are placed as scattered 256-bit runs, the shape the kernels
-/// actually see: the permutation is group-clustered, so a low-selectivity
-/// predicate covers contiguous row-id ranges, filling few words completely
-/// rather than touching half of them one bit each (uniform placement at 1%
-/// leaves ~47% of 64-bit words nonzero and nothing worth skipping).
-///
-/// Work and results are integer-identical in both modes — the summary only
-/// changes which zero words get inspected — which the sweep asserts before
-/// reporting. The aggregate off/on time ratio is the acceptance gate.
-std::vector<SparsePoint> RunSparseSweep(size_t n, uint64_t seed,
-                                        double* aggregate_speedup) {
-  const double densities[] = {0.01, 0.005, 0.001};
-  const int reps = 400;
-  std::vector<SparsePoint> points;
-  double off_total = 0.0;
-  double on_total = 0.0;
-  for (double density : densities) {
-    Rng rng(seed ^ static_cast<uint64_t>(density * 1e6));
-    Bitmap sparse(n);
-    Bitmap all(n);
-    all.SetAll();
-    const size_t target = static_cast<size_t>(density * static_cast<double>(n));
-    const size_t full_words = n / 64;
-    const size_t run_words = 4;  // 256-bit clustered runs
-    std::vector<uint8_t> used(full_words, 0);
-    for (size_t remaining = target; remaining > 0;) {
-      const size_t w0 = rng.NextBounded(full_words - run_words + 1);
-      bool clash = false;
-      for (size_t k = 0; k < run_words; ++k) clash = clash || used[w0 + k] != 0;
-      if (clash) continue;
-      for (size_t k = 0; k < run_words && remaining > 0; ++k) {
-        used[w0 + k] = 1;
-        for (int b = 0; b < 64 && remaining > 0; ++b, --remaining) {
-          sparse.Set((w0 + k) * 64 + static_cast<size_t>(b));
-        }
-      }
-    }
-    // One weight per 64-bit word, as in the kernels' per-group weight load.
-    std::vector<double> weight((n + 63) / 64);
-    for (double& w : weight) w = rng.NextDouble();
-
-    Bitmap conj;
-    uint64_t counts[2] = {0, 0};
-    double checksums[2] = {0.0, 0.0};
-    double secs[2] = {0.0, 0.0};
-    for (int mode = 0; mode < 2; ++mode) {
-      Bitmap::SetSummaryEnabled(mode == 1);
-      conj.AssignAnd(sparse, all);  // warm the scratch words
-      secs[mode] = TimeSeconds([&] {
-        for (int r = 0; r < reps; ++r) {
-          conj.AssignAnd(sparse, all);
-          counts[mode] += conj.Count();
-          double acc = 0.0;
-          conj.ForEachSetBit([&](size_t i) { acc += weight[i >> 6]; });
-          checksums[mode] += acc;
-        }
-      });
-    }
-    Bitmap::SetSummaryEnabled(true);
-    // Same iteration order in both modes, so even the FP sums match exactly.
-    if (counts[0] != counts[1] || checksums[0] != checksums[1]) {
-      std::fprintf(stderr,
-                   "FATAL: sparse sweep at density %g diverges between "
-                   "summary modes (counts %llu vs %llu)\n",
-                   density, static_cast<unsigned long long>(counts[0]),
-                   static_cast<unsigned long long>(counts[1]));
-      std::exit(1);
-    }
-    points.push_back({density, secs[0], secs[1], secs[0] / secs[1]});
-    off_total += secs[0];
-    on_total += secs[1];
-  }
-  *aggregate_speedup = off_total / on_total;
-  return points;
 }
 
 void Run(const KernelBenchConfig& config) {
@@ -290,12 +201,6 @@ void Run(const KernelBenchConfig& config) {
     }
   }
 
-  // ---- Low-selectivity COUNT sweep: summary-guided iteration gate. ----
-  double sparse_speedup = 0.0;
-  const std::vector<SparsePoint> sparse_points = RunSparseSweep(
-      static_cast<size_t>(config.n), static_cast<uint64_t>(config.seed) + 7,
-      &sparse_speedup);
-
   // ---- Steady-state allocation audit: after warmup, the single-arg
   // Estimate() replay loop (pool-leased scratch) must make zero heap
   // allocations — every container has reached its capacity-retained
@@ -354,28 +259,6 @@ void Run(const KernelBenchConfig& config) {
       "\nsingle-thread speedup of the kernel over scalar: COUNT %.2fx, "
       "SUM %.2fx\n",
       count_qps_1t[1] / count_qps_1t[0], sum_qps_1t[1] / sum_qps_1t[0]);
-
-  // ---- Low-selectivity sweep report + acceptance gate. ----
-  std::printf("\nlow-selectivity COUNT sweep (occupancy summary off vs on):\n");
-  TablePrinter sparse_printer(
-      {"density", "off (ms)", "on (ms)", "speedup"});
-  for (const SparsePoint& pt : sparse_points) {
-    sparse_printer.AddRow({FormatDouble(pt.density * 100.0, 2) + "%",
-                           FormatDouble(pt.off_s * 1e3, 1),
-                           FormatDouble(pt.on_s * 1e3, 1),
-                           FormatDouble(pt.speedup, 2)});
-  }
-  sparse_printer.Print();
-  if (sparse_speedup < 1.3) {
-    std::fprintf(stderr,
-                 "FATAL: summary-guided sparse COUNT sweep is only %.2fx the "
-                 "linear walk (>= 1.3x required) — the occupancy summary has "
-                 "stopped paying for itself\n",
-                 sparse_speedup);
-    std::exit(1);
-  }
-  std::printf("sparse COUNT aggregate speedup %.2fx (>= 1.3x required): OK\n",
-              sparse_speedup);
 
   std::printf(
       "steady-state replay (%lld passes, checksum %.3e): %llu heap "
@@ -455,22 +338,9 @@ void Run(const KernelBenchConfig& config) {
       os << buf;
     }
     os << "  ],\n";
-    os << "  \"sparse_sweep\": [\n";
-    for (size_t i = 0; i < sparse_points.size(); ++i) {
-      const SparsePoint& pt = sparse_points[i];
-      std::snprintf(buf, sizeof buf,
-                    "    {\"density\": %g, \"off_s\": %.6f, \"on_s\": %.6f, "
-                    "\"speedup\": %.3f}%s\n",
-                    pt.density, pt.off_s, pt.on_s, pt.speedup,
-                    i + 1 < sparse_points.size() ? "," : "");
-      os << buf;
-    }
-    os << "  ],\n";
     std::snprintf(buf, sizeof buf,
-                  "  \"sparse_speedup\": %.3f,\n"
                   "  \"steady_state\": {\"heap_allocs\": %llu, "
                   "\"zero_alloc_enforced\": %s},\n",
-                  sparse_speedup,
                   static_cast<unsigned long long>(steady_mallocs),
                   MallocCountAvailable() ? "true" : "false");
     os << buf;

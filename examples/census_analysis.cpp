@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
   int64_t l = 10;
   int64_t queries = 500;
   FlagParser parser;
-  parser.AddInt64("n", &n, "CENSUS cardinality");
-  parser.AddInt64("l", &l, "privacy parameter");
-  parser.AddInt64("queries", &queries, "workload size");
+  parser.AddInt64("n", &n, "CENSUS cardinality", 100, 10'000'000);
+  parser.AddInt64("l", &l, "privacy parameter", 2, 1000);
+  parser.AddInt64("queries", &queries, "workload size", 1, 1'000'000);
   const Status flag_status = parser.Parse(argc, argv);
   if (!flag_status.ok()) {
     std::fprintf(stderr, "%s\n%s", flag_status.ToString().c_str(),

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   int64_t n = 5000;
   std::string outdir = "/tmp/anatomy_demo";
   FlagParser parser;
-  parser.AddInt64("n", &n, "number of admission records");
+  parser.AddInt64("n", &n, "number of admission records", 100, 10'000'000);
   parser.AddString("outdir", &outdir, "directory for the CSV files");
   Die(parser.Parse(argc, argv));
   if (parser.help_requested()) {

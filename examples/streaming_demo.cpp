@@ -41,9 +41,10 @@ int main(int argc, char** argv) {
   int64_t l = 10;
   int64_t days = 10;
   FlagParser parser;
-  parser.AddInt64("n", &n, "total stream length");
-  parser.AddInt64("l", &l, "privacy parameter");
-  parser.AddInt64("days", &days, "number of arrival batches to report");
+  parser.AddInt64("n", &n, "total stream length", 100, 10'000'000);
+  parser.AddInt64("l", &l, "privacy parameter", 2, 1000);
+  parser.AddInt64("days", &days, "number of arrival batches to report", 1,
+                  1000);
   Die(parser.Parse(argc, argv));
   if (parser.help_requested()) {
     std::printf("%s", parser.Usage(argv[0]).c_str());

@@ -15,10 +15,6 @@ namespace anatomy {
 
 namespace {
 
-/// Smallest per-shard BufferPool the external pipeline is tested with; below
-/// this the stage-1 fan-out degenerates to one output buffer.
-constexpr size_t kMinShardPoolPages = 8;
-
 /// Per-shard seed derivation. With one requested shard the master seed is
 /// used directly, which is what makes shards = 1 byte-identical to the
 /// sequential Anatomizer (whose Rng is seeded with the master seed, not with
@@ -209,91 +205,6 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
 ShardedExternalAnatomizer::ShardedExternalAnatomizer(
     const ShardedAnatomizerOptions& options)
     : options_(options) {}
-
-StatusOr<ShardedExternalAnatomizeResult> ShardedExternalAnatomizer::Run(
-    const Microdata& microdata, std::span<Disk* const> disks,
-    size_t total_pool_pages) const {
-  ANATOMY_RETURN_IF_ERROR(microdata.Validate());
-  ANATOMY_RETURN_IF_ERROR(CheckEligibility(microdata, options_.l));
-  if (disks.size() < options_.shards) {
-    return Status::InvalidArgument(
-        "need one disk per requested shard: got " +
-        std::to_string(disks.size()) + " disks for " +
-        std::to_string(options_.shards) + " shards");
-  }
-  obs::ScopedSpan run_span("external_anatomize.sharded.run",
-                           "external_anatomize");
-  const std::vector<Code>& sensitive =
-      microdata.table.column(microdata.sensitive_column);
-  const Code domain = microdata.sensitive_attribute().domain_size;
-  ANATOMY_ASSIGN_OR_RETURN(
-      ShardSplit split,
-      SplitForSharding(sensitive, domain, options_.l, options_.shards));
-  const size_t num_shards = split.shard_rows.size();
-
-  // Per-shard budgets sum to the configured pool: pages / S each, the
-  // remainder spread over the first shards.
-  ShardedExternalAnatomizeResult result;
-  if (total_pool_pages / num_shards < kMinShardPoolPages) {
-    return Status::InvalidArgument(
-        "pool of " + std::to_string(total_pool_pages) + " pages is too small "
-        "for " + std::to_string(num_shards) + " shards (need >= " +
-        std::to_string(kMinShardPoolPages) + " pages each)");
-  }
-  result.shard_pool_pages.resize(num_shards, total_pool_pages / num_shards);
-  for (size_t s = 0; s < total_pool_pages % num_shards; ++s) {
-    ++result.shard_pool_pages[s];
-  }
-
-  std::vector<StatusOr<ExternalAnatomizeResult>> shard_results(
-      num_shards,
-      StatusOr<ExternalAnatomizeResult>(Status::Internal("shard never ran")));
-  {
-    ThreadPool pool(options_.num_threads);
-    for (size_t s = 0; s < num_shards; ++s) {
-      pool.Submit([this, s, &split, &microdata, &disks, &result,
-                   &shard_results] {
-        obs::ScopedSpan shard_span("external_anatomize.shard.run",
-                                   "external_anatomize");
-        Microdata shard_md;
-        shard_md.table = microdata.table.SelectRows(split.shard_rows[s]);
-        shard_md.qi_columns = microdata.qi_columns;
-        shard_md.sensitive_column = microdata.sensitive_column;
-        BufferPool shard_pool(disks[s], result.shard_pool_pages[s]);
-        ExternalAnatomizer shard_anatomizer(
-            AnatomizerOptions{.l = options_.l, .seed = ShardSeed(options_, s)});
-        shard_results[s] =
-            shard_anatomizer.Run(shard_md, disks[s], &shard_pool);
-      });
-    }
-    pool.Wait();
-  }
-
-  result.shards_run = num_shards;
-  result.merged_shards = split.merges;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!shard_results[s].ok()) {
-      return Status(shard_results[s].status().code(),
-                    "external shard " + std::to_string(s) + " of " +
-                        std::to_string(num_shards) + " failed: " +
-                        shard_results[s].status().message());
-    }
-    ExternalAnatomizeResult& shard = shard_results[s].value();
-    AppendShardPartition(std::move(shard.partition), split.shard_rows[s],
-                         result.partition);
-    result.io += shard.io;
-    result.qit_pages += shard.qit_pages;
-    result.st_pages += shard.st_pages;
-  }
-
-  if (obs::MetricsEnabled()) {
-    obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-    registry.GetCounter("anatomize.shard.external_runs")->Increment();
-    registry.GetCounter("anatomize.shard.shards_run")->Increment(num_shards);
-    registry.GetCounter("anatomize.shard.merged")->Increment(split.merges);
-  }
-  return result;
-}
 
 StatusOr<ShardedPublishResult> ShardedExternalAnatomizer::RunPublished(
     const Microdata& microdata, std::span<Disk* const> disks,

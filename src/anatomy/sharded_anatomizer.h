@@ -95,19 +95,6 @@ class ShardedAnatomizer {
   ShardedAnatomizerOptions options_;
 };
 
-struct ShardedExternalAnatomizeResult {
-  Partition partition;
-  /// Algorithm I/O summed across shards (still O(n/b) in total: each shard
-  /// is O(n_s / b) on its own disk).
-  IoStats io;
-  size_t qit_pages = 0;
-  size_t st_pages = 0;
-  size_t shards_run = 0;
-  size_t merged_shards = 0;
-  /// Per-shard pool budgets actually used; sums to the configured total.
-  std::vector<size_t> shard_pool_pages;
-};
-
 /// A per-node published shard deployment: shard s's QIT/ST committed crash-
 /// consistently on disks[s], plus the bookkeeping a coordinator needs to
 /// stitch the shards back into one logical publication.
@@ -117,11 +104,12 @@ struct ShardedPublishResult {
   /// shard_partitions[s]: shard s's partition in *global* row ids (shard-
   /// local group ids starting at 0 on each shard).
   std::vector<Partition> shard_partitions;
-  /// All shards concatenated in shard order — identical to what Run()
-  /// returns for the same (data, seed, shards), so a merged view of the
-  /// per-node publications equals the single-deployment publication.
+  /// All shards concatenated in shard order, group ids prefix-offset: the
+  /// one logical publication the per-node publications make up.
   Partition merged;
   ShardSplit split;
+  /// Algorithm I/O summed across shards (still O(n/b) in total: each shard
+  /// is O(n_s / b) on its own disk).
   IoStats io;
   IoStats commit_io;
   size_t shards_run = 0;
@@ -129,34 +117,24 @@ struct ShardedPublishResult {
 };
 
 /// Shard-parallel external (I/O-counted) Anatomize. Each shard runs the full
-/// Theorem 3 pipeline against its own Disk through its own BufferPool; the
-/// per-shard pool budgets sum to `total_pool_pages` (the configured memory
-/// capacity, e.g. the paper's 50 pages), so parallelism never inflates the
-/// memory budget. The external pipeline draws tuples in stream order (no
-/// RNG), so the result is deterministic and, with shards = 1, byte-identical
-/// to the sequential ExternalAnatomizer.
+/// Theorem 3 pipeline against its own Disk through its own BufferPool, so
+/// the per-shard I/O stays meaningful under parallel execution. The external
+/// pipeline draws tuples in stream order (no RNG), so the result is
+/// deterministic and, with shards = 1, byte-identical to the sequential
+/// ExternalAnatomizer.
 class ShardedExternalAnatomizer {
  public:
   explicit ShardedExternalAnatomizer(const ShardedAnatomizerOptions& options);
-
-  /// `disks` must provide one Disk per requested shard (extras are unused
-  /// when the eligibility merge reduces the shard count); each shard's
-  /// pipeline I/O lands on its own disk, so the per-shard IoStats stay
-  /// meaningful under parallel execution. `total_pool_pages` is divided
-  /// across the shards that run (minimum 8 pages each, like the smallest
-  /// pool the tier-1 tests drive the sequential pipeline with).
-  StatusOr<ShardedExternalAnatomizeResult> Run(const Microdata& microdata,
-                                               std::span<Disk* const> disks,
-                                               size_t total_pool_pages) const;
 
   /// The multi-node deployment path: shard s publishes crash-consistently on
   /// disks[s] through pools[s] (ExternalAnatomizer::RunPublished per shard,
   /// in parallel). All-or-none: if any shard fails, every already-committed
   /// shard publication is discarded before the error returns, so the node
   /// fleet never holds a partially-deployed epoch. `disks` and `pools` are
-  /// parallel arrays, one entry per requested shard; unlike Run(), each pool
-  /// is caller-owned because in the distributed deployment each node brings
-  /// its own (the budget split is the caller's policy, not ours).
+  /// parallel arrays, one entry per requested shard (extras are unused when
+  /// the eligibility merge reduces the shard count); each pool is
+  /// caller-owned because in the distributed deployment each node brings
+  /// its own.
   StatusOr<ShardedPublishResult> RunPublished(
       const Microdata& microdata, std::span<Disk* const> disks,
       std::span<BufferPool* const> pools) const;

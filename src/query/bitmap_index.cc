@@ -40,23 +40,9 @@ size_t BitmapIndex::SlotFor(size_t column) const {
   return static_cast<size_t>(slot_of_column_[column]);
 }
 
-void BitmapIndex::ValueBitmap(size_t column, Code code, Bitmap& out) const {
-  const size_t slot = SlotFor(column);
-  out.Reset(num_rows_);
-  if (code >= 0 && static_cast<size_t>(code) < prefix_[slot].size()) {
-    out.OrWithAndNot(prefix_[slot][code],
-                     code > 0 ? &prefix_[slot][code - 1] : nullptr);
-  }
-  // Value bitmaps are one-per-code, so they are exactly where occupancy
-  // summaries pay: density 1/domain, most words zero for wide domains.
-  out.BuildSummary();
-}
-
 void BitmapIndex::PredicateBitmap(size_t column, const AttributePredicate& pred,
                                   Bitmap& out) const {
   out.Reset(num_rows_);
-  // No summary: every reader either ANDs the words into a bitmap that
-  // builds its own (AndWith) or reads the words alone (the block kernel).
   ForEachRunBitmap(column, pred, [&out](const Bitmap& hi, const Bitmap* lo) {
     out.OrWithAndNot(hi, lo);
   });

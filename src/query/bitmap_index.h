@@ -31,12 +31,6 @@ class BitmapIndex {
 
   RowId num_rows() const { return num_rows_; }
 
-  /// Bitmap of rows carrying `code` on `column`, written into `out`
-  /// (resized/cleared as needed). Codes outside the column's domain match
-  /// no rows, so `out` comes back empty — the same semantics as
-  /// PredicateBitmap, not an abort.
-  void ValueBitmap(size_t column, Code code, Bitmap& out) const;
-
   /// Rows matching `pred` on `column`, written into `out` (resized/cleared
   /// as needed): one AND-NOT pass per maximal consecutive-code run of the
   /// predicate. Out-of-domain predicate values are skipped.

@@ -9,17 +9,6 @@ ExactEvaluator::ExactEvaluator(const Microdata& microdata)
   index_ = std::make_unique<BitmapIndex>(microdata.table, columns);
 }
 
-void ExactEvaluator::QiMatchBitmap(const CountQuery& query, Bitmap& out) const {
-  out = Bitmap(microdata_->n());
-  out.SetAll();
-  Bitmap pred_bits;
-  for (const AttributePredicate& pred : query.qi_predicates) {
-    const size_t column = microdata_->qi_columns[pred.qi_index()];
-    index_->PredicateBitmap(column, pred, pred_bits);
-    out.AndWith(pred_bits);
-  }
-}
-
 uint64_t ExactEvaluator::Count(const CountQuery& query,
                                EstimatorScratch& scratch) const {
   scratch.qi_match.Reset(microdata_->n());

@@ -29,14 +29,6 @@ class ExactEvaluator {
     return Count(query, *scratch_pool_.Acquire());
   }
 
-  /// Bitmap of rows satisfying the QI predicates only (shared with the
-  /// anatomy estimator, whose QIT carries identical QI columns in identical
-  /// row order).
-  void QiMatchBitmap(const CountQuery& query, Bitmap& out) const;
-
-  const BitmapIndex& index() const { return *index_; }
-  const Microdata& microdata() const { return *microdata_; }
-
  private:
   const Microdata* microdata_;
   std::unique_ptr<BitmapIndex> index_;

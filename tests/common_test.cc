@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/flags.h"
-#include "common/fsa.h"
 #include "common/printer.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -432,98 +431,6 @@ TEST(FlagsTest, Int64FlagRejectsStrtolArtifacts) {
     EXPECT_FALSE(parser.Parse(2, const_cast<char**>(argv)).ok());
   }
   EXPECT_EQ(n, 0);  // failed parses must not partially assign
-}
-
-// ---------------------------------------------------------------- HierBitset
-
-TEST(HierBitsetTest, SetClearFindAcrossAllLevels) {
-  HierBitset hb;
-  hb.Init(HierBitset::kMaxBits);
-  EXPECT_FALSE(hb.any());
-  EXPECT_EQ(hb.FindFirstSet(), HierBitset::kNpos);
-
-  // One bit per level-1 block exercises every summary transition.
-  for (uint32_t i = 0; i < HierBitset::kMaxBits; i += 1024) {
-    hb.Set(i + 1023);
-  }
-  EXPECT_EQ(hb.FindFirstSet(), 1023u);
-  EXPECT_EQ(hb.NextSet(1024), 2047u);
-  hb.Clear(1023);
-  EXPECT_EQ(hb.FindFirstSet(), 2047u);
-  EXPECT_EQ(hb.NextSet(32767), 32767u);
-  hb.Clear(32767);
-  EXPECT_EQ(hb.NextSet(31744), HierBitset::kNpos);
-}
-
-TEST(HierBitsetTest, InitFullMasksPartialTails) {
-  // 33 bits: one full leaf word plus a 1-bit tail.
-  HierBitset hb;
-  hb.InitFull(33);
-  uint32_t count = 0;
-  uint32_t last = 0;
-  hb.ForEachSet([&](uint32_t i) {
-    ++count;
-    last = i;
-  });
-  EXPECT_EQ(count, 33u);
-  EXPECT_EQ(last, 32u);
-  EXPECT_EQ(hb.NextSet(33), HierBitset::kNpos);
-}
-
-TEST(HierBitsetTest, RandomizedAgainstReferenceModel) {
-  Rng rng(7);
-  for (uint32_t cap : {1u, 31u, 32u, 33u, 1024u, 1025u, 8192u, 32768u}) {
-    HierBitset hb;
-    hb.Init(cap);
-    std::vector<bool> ref(cap, false);
-    for (int op = 0; op < 4000; ++op) {
-      const uint32_t i = static_cast<uint32_t>(rng.NextBounded(cap));
-      if (rng.NextBool(0.5)) {
-        hb.Set(i);
-        ref[i] = true;
-      } else {
-        hb.Clear(i);
-        ref[i] = false;
-      }
-      if (op % 97 == 0) {
-        // Full agreement: iteration order and membership.
-        std::vector<uint32_t> got;
-        hb.ForEachSet([&](uint32_t b) { got.push_back(b); });
-        std::vector<uint32_t> want;
-        for (uint32_t b = 0; b < cap; ++b) {
-          if (ref[b]) want.push_back(b);
-        }
-        ASSERT_EQ(got, want) << "cap " << cap;
-        const uint32_t probe = static_cast<uint32_t>(rng.NextBounded(cap));
-        uint32_t expect_next = HierBitset::kNpos;
-        for (uint32_t b = probe; b < cap; ++b) {
-          if (ref[b]) {
-            expect_next = b;
-            break;
-          }
-        }
-        ASSERT_EQ(hb.NextSet(probe), expect_next);
-      }
-    }
-  }
-}
-
-TEST(HierBitsetTest, BulkLeafBuildMatchesIncremental) {
-  HierBitset a;
-  HierBitset b;
-  a.Init(4096);
-  b.Init(4096);
-  Rng rng(11);
-  for (int k = 0; k < 300; ++k) {
-    const uint32_t i = static_cast<uint32_t>(rng.NextBounded(4096));
-    a.Set(i);
-    b.leaf_words()[i >> 5] |= 1u << (i & 31);
-  }
-  b.RebuildUpper();
-  std::vector<uint32_t> got_a, got_b;
-  a.ForEachSet([&](uint32_t i) { got_a.push_back(i); });
-  b.ForEachSet([&](uint32_t i) { got_b.push_back(i); });
-  EXPECT_EQ(got_a, got_b);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "data/dataset.h"
 #include "query/aggregate.h"
 #include "query/anatomy_estimator.h"
-#include "query/bitmap.h"
 #include "table/schema.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -662,84 +661,6 @@ TEST(HugePageBlockTest, AlignedRoundedAndEngineArraysDisjoint) {
   EstimatorOptions scalar;
   scalar.mode = KernelMode::kScalar;
   EXPECT_EQ(AnatomyQueryEngine(tables, scalar).block().size(), 0u);
-}
-
-// ------------------------------------------- Memory-substrate sweeps ----
-
-TEST(MemorySubstrateSweepTest, SummaryToggleIsBitIdentical) {
-  // The occupancy summary changes which zero words get inspected; it may
-  // not change a single estimate bit. Sweep both summary settings over a
-  // mixed COUNT/SUM workload and demand exact double equality against the
-  // as-built configuration.
-  const AnatomizedCensus census = MakeAnatomizedCensus(3000, 4, 6, 91);
-  const Microdata& md = census.dataset.microdata;
-  const std::vector<CountQuery> base =
-      GridQueries(md, /*qd=*/2, /*s=*/0.08, /*count=*/30, 97, true);
-  std::vector<AggregateQuery> queries;
-  for (size_t i = 0; i < base.size(); ++i) {
-    AggregateQuery q;
-    q.predicates = base[i];
-    q.kind = i % 2 == 0 ? AggregateKind::kCount : AggregateKind::kSum;
-    q.measure_qi = i % md.d();
-    queries.push_back(q);
-  }
-
-  const bool summary_before = Bitmap::SummaryEnabled();
-
-  std::vector<double> baseline;
-  for (int summary_on = 1; summary_on >= 0; --summary_on) {
-    Bitmap::SetSummaryEnabled(summary_on != 0);
-    // Fresh estimator per setting so its index structures are built under
-    // exactly this summary setting.
-    const AnatomyAggregateEstimator estimator(census.tables);
-    std::vector<double> got(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      got[i] = estimator.Estimate(queries[i]);
-    }
-    if (baseline.empty()) {
-      baseline = got;
-      continue;
-    }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got[i], baseline[i])
-          << "summary=" << summary_on << " query " << i;
-    }
-  }
-
-  Bitmap::SetSummaryEnabled(summary_before);
-}
-
-TEST(MemorySubstrateSweepTest, SummaryGuidedIterationVisitsIdenticalBits) {
-  // Direct iteration-order check on adversarial bitmaps: clustered runs,
-  // isolated bits, word boundaries. The guided walk must produce the same
-  // index sequence as the linear walk.
-  const bool summary_before = Bitmap::SummaryEnabled();
-  const size_t n = 5000;
-  Bitmap sparse(n);
-  for (size_t i : {size_t{0}, size_t{63}, size_t{64}, size_t{1000},
-                   size_t{1001}, size_t{1023}, size_t{1024}, size_t{4999}}) {
-    sparse.Set(i);
-  }
-  for (size_t i = 2048; i < 2304; ++i) sparse.Set(i);  // one clustered run
-  Bitmap mask(n);
-  for (size_t i = 0; i < n; i += 3) mask.Set(i);
-
-  Bitmap conj;
-  Bitmap::SetSummaryEnabled(true);
-  conj.AssignAnd(sparse, mask);
-  ASSERT_TRUE(conj.has_summary());
-  std::vector<size_t> guided;
-  conj.ForEachSetBit([&](size_t i) { guided.push_back(i); });
-
-  Bitmap::SetSummaryEnabled(false);
-  Bitmap linear_conj;
-  linear_conj.AssignAnd(sparse, mask);
-  ASSERT_FALSE(linear_conj.has_summary());
-  std::vector<size_t> linear;
-  linear_conj.ForEachSetBit([&](size_t i) { linear.push_back(i); });
-  EXPECT_EQ(guided, linear);
-
-  Bitmap::SetSummaryEnabled(summary_before);
 }
 
 }  // namespace

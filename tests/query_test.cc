@@ -36,7 +36,7 @@ TEST(BitmapTest, SetAllRespectsSize) {
   Bitmap b(70);
   b.SetAll();
   EXPECT_EQ(b.Count(), 70u);
-  b.ClearAll();
+  b.Reset(70);
   EXPECT_EQ(b.Count(), 0u);
 }
 
@@ -96,22 +96,22 @@ TEST(PredicateTest, QueryToString) {
 
 // ----------------------------------------------------------- BitmapIndex --
 
-TEST(BitmapIndexTest, ValueBitmapsPartitionRows) {
+TEST(BitmapIndexTest, PointPredicatesPartitionRows) {
   Microdata md = MakeSimpleMicrodata({{0, 1}, {1, 1}, {0, 2}}, 4, 4);
   BitmapIndex index(md.table, {0, 1});
   Bitmap value;
-  index.ValueBitmap(0, 0, value);
+  index.PredicateBitmap(0, AttributePredicate(0, {0}), value);
   EXPECT_EQ(value.Count(), 2u);
-  index.ValueBitmap(0, 1, value);
+  index.PredicateBitmap(0, AttributePredicate(0, {1}), value);
   EXPECT_EQ(value.Count(), 1u);
-  index.ValueBitmap(0, 3, value);
+  index.PredicateBitmap(0, AttributePredicate(0, {3}), value);
   EXPECT_EQ(value.Count(), 0u);
-  index.ValueBitmap(1, 1, value);
+  index.PredicateBitmap(1, AttributePredicate(0, {1}), value);
   EXPECT_EQ(value.Count(), 2u);
   // Out-of-domain codes are an empty bitmap, not a crash.
-  index.ValueBitmap(0, 4, value);
+  index.PredicateBitmap(0, AttributePredicate(0, {4}), value);
   EXPECT_EQ(value.Count(), 0u);
-  index.ValueBitmap(0, -1, value);
+  index.PredicateBitmap(0, AttributePredicate(0, {-1}), value);
   EXPECT_EQ(value.Count(), 0u);
 
   Bitmap out;
@@ -127,21 +127,22 @@ TEST(BitmapIndexTest, RowOrderPermutesBitPositions) {
   const std::vector<RowId> order = {2, 0, 1};
   BitmapIndex index(md.table, {0}, &order);
   Bitmap value;
-  index.ValueBitmap(0, 1, value);  // only row 1, which sits at bit 2
+  // Only row 1 carries code 1, and it sits at bit 2.
+  index.PredicateBitmap(0, AttributePredicate(0, {1}), value);
   EXPECT_FALSE(value.Test(0));
   EXPECT_FALSE(value.Test(1));
   EXPECT_TRUE(value.Test(2));
 }
 
-TEST(BitmapTest, AssignAndAndOrWithAndNot) {
+TEST(BitmapTest, AndWithAndOrWithAndNot) {
   Bitmap a(130), b(130);
   a.Set(0);
   a.Set(64);
   a.Set(129);
   b.Set(64);
   b.Set(100);
-  Bitmap c;
-  c.AssignAnd(a, b);
+  Bitmap c = a;
+  c.AndWith(b);
   EXPECT_EQ(c.size(), 130u);
   EXPECT_EQ(c.Count(), 1u);
   EXPECT_TRUE(c.Test(64));

@@ -1,8 +1,10 @@
 #include "anatomy/sharded_anatomizer.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -196,50 +198,61 @@ TEST(ShardedAnatomizerTest, RejectsZeroShards) {
 
 // -------------------------------------------- ShardedExternalAnatomizer --
 
+/// One SimulatedDisk and one BufferPool per shard, as each node of the
+/// distributed deployment brings its own.
+struct ShardStorage {
+  ShardStorage(size_t shards, size_t pool_pages) : disks(shards) {
+    for (SimulatedDisk& disk : disks) {
+      pools.push_back(std::make_unique<BufferPool>(&disk, pool_pages));
+      disk_ptrs.push_back(&disk);
+      pool_ptrs.push_back(pools.back().get());
+    }
+  }
+  std::vector<SimulatedDisk> disks;
+  std::vector<std::unique_ptr<BufferPool>> pools;
+  std::vector<Disk*> disk_ptrs;
+  std::vector<BufferPool*> pool_ptrs;
+};
+
 TEST(ShardedExternalAnatomizerTest, SingleShardMatchesSequentialPipeline) {
   const Microdata md = MakeRoundRobinMicrodata(600, 64, 16);
   SimulatedDisk seq_disk;
   BufferPool seq_pool(&seq_disk, 50);
   ExternalAnatomizer sequential(AnatomizerOptions{.l = 4, .seed = 11});
-  auto expected = sequential.Run(md, &seq_disk, &seq_pool);
+  auto expected = sequential.RunPublished(md, &seq_disk, &seq_pool);
   ASSERT_TRUE(expected.ok()) << expected.status().message();
 
-  SimulatedDisk shard_disk;
-  Disk* disks[] = {&shard_disk};
+  ShardStorage storage(1, 50);
   ShardedExternalAnatomizer sharded({.l = 4, .seed = 11, .shards = 1});
-  auto result = sharded.Run(md, disks, 50);
+  auto result =
+      sharded.RunPublished(md, storage.disk_ptrs, storage.pool_ptrs);
   ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result.value().partition.groups, expected.value().partition.groups);
+  EXPECT_EQ(result.value().merged.groups, expected.value().partition.groups);
   EXPECT_EQ(result.value().io.total(), expected.value().io.total());
-  ASSERT_EQ(result.value().shard_pool_pages.size(), 1u);
-  EXPECT_EQ(result.value().shard_pool_pages[0], 50u);
+  EXPECT_EQ(result.value().commit_io.total(),
+            expected.value().commit_io.total());
+  EXPECT_EQ(result.value().shards_run, 1u);
 }
 
-TEST(ShardedExternalAnatomizerTest, FourShardsValidBudgetedAndDeterministic) {
+TEST(ShardedExternalAnatomizerTest, FourShardsValidAndDeterministic) {
   const RowId n = 1200;
   const Microdata md = MakeRoundRobinMicrodata(n, 64, 16);
   uint64_t reference = 0;
   for (size_t threads : {1u, 4u}) {
-    SimulatedDisk d0, d1, d2, d3;
-    Disk* disks[] = {&d0, &d1, &d2, &d3};
+    // 12 pages per shard: the paper's 50-page budget split four ways.
+    ShardStorage storage(4, 12);
     ShardedExternalAnatomizer sharded(
         {.l = 4, .seed = 5, .shards = 4, .num_threads = threads});
-    auto result = sharded.Run(md, disks, 50);
+    auto result =
+        sharded.RunPublished(md, storage.disk_ptrs, storage.pool_ptrs);
     ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_TRUE(result.value().partition.ValidateCover(n).ok());
-    EXPECT_TRUE(result.value().partition.ValidateLDiverse(md, 4).ok());
+    EXPECT_TRUE(result.value().merged.ValidateCover(n).ok());
+    EXPECT_TRUE(result.value().merged.ValidateLDiverse(md, 4).ok());
     EXPECT_EQ(result.value().shards_run, 4u);
-
-    // Per-shard pool budgets sum exactly to the configured capacity.
-    size_t budget = 0;
-    for (size_t pages : result.value().shard_pool_pages) {
-      EXPECT_GE(pages, 8u);
-      budget += pages;
-    }
-    EXPECT_EQ(budget, 50u);
+    EXPECT_EQ(result.value().manifests.size(), 4u);
     EXPECT_GT(result.value().io.total(), 0u);
 
-    const uint64_t digest = PartitionDigest(result.value().partition);
+    const uint64_t digest = PartitionDigest(result.value().merged);
     if (threads == 1u) {
       reference = digest;
     } else {
@@ -252,37 +265,38 @@ TEST(ShardedExternalAnatomizerTest, TotalIoStaysLinearAcrossShardCounts) {
   // Theorem 3 per shard: summing O(n_s / b) over shards stays O(n / b). Each
   // shard pays a fixed page overhead (one page per bucket file, pipeline
   // scratch), so the comparison holds the per-pipeline pool at the paper's
-  // 50 pages (total budget scales with S) and allows a constant-factor
-  // margin for the fixed costs, which amortize away at bench scale.
+  // 50 pages and allows a constant-factor margin for the fixed costs, which
+  // amortize away at bench scale.
   const Microdata md = MakeRoundRobinMicrodata(2000, 64, 16);
   SimulatedDisk seq_disk;
   BufferPool seq_pool(&seq_disk, 50);
   ExternalAnatomizer sequential(AnatomizerOptions{.l = 4, .seed = 3});
-  auto baseline = sequential.Run(md, &seq_disk, &seq_pool);
-  ASSERT_TRUE(baseline.ok());
+  auto baseline = sequential.RunPublished(md, &seq_disk, &seq_pool);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().message();
 
-  SimulatedDisk d0, d1, d2, d3;
-  Disk* disks[] = {&d0, &d1, &d2, &d3};
+  ShardStorage storage(4, 50);
   ShardedExternalAnatomizer sharded({.l = 4, .seed = 3, .shards = 4});
-  auto result = sharded.Run(md, disks, 200);
+  auto result =
+      sharded.RunPublished(md, storage.disk_ptrs, storage.pool_ptrs);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_LE(result.value().io.total(), 4 * baseline.value().io.total());
 }
 
-TEST(ShardedExternalAnatomizerTest, RejectsBadConfigurations) {
+TEST(ShardedExternalAnatomizerTest, RejectsFewerDisksOrPoolsThanShards) {
   const Microdata md = MakeRoundRobinMicrodata(200, 64, 10);
-  SimulatedDisk d0, d1;
-  Disk* one_disk[] = {&d0};
-  Disk* two_disks[] = {&d0, &d1};
-
-  // Fewer disks than requested shards.
+  ShardStorage storage(2, 50);
+  const std::span<Disk* const> disks(storage.disk_ptrs);
+  const std::span<BufferPool* const> pools(storage.pool_ptrs);
   ShardedExternalAnatomizer two_shards({.l = 4, .seed = 1, .shards = 2});
-  EXPECT_EQ(two_shards.Run(md, one_disk, 50).status().code(),
-            StatusCode::kInvalidArgument);
 
-  // Pool too small to give every shard a workable budget.
-  EXPECT_EQ(two_shards.Run(md, two_disks, 10).status().code(),
+  EXPECT_EQ(two_shards.RunPublished(md, disks.first(1), pools).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(two_shards.RunPublished(md, disks, pools.first(1)).status().code(),
+            StatusCode::kInvalidArgument);
+  // Nothing was published on either disk.
+  for (const SimulatedDisk& disk : storage.disks) {
+    EXPECT_EQ(disk.live_pages(), 0u);
+  }
 }
 
 }  // namespace

@@ -49,8 +49,8 @@ if [[ $# -ge 1 ]]; then
     kernels)
       # The query-kernel smoke check: query_kernels_test pins the block
       # kernel to the row-scan oracle and the scalar reference and carves
-      # the engine's huge-page block, query_test and common_test cover the
-      # bitmaps, the index and the summaries' hierarchical bitset, and
+      # the engine's huge-page block, query_test covers the bitmaps and the
+      # index, common_test the integer parsing the query parser shares, and
       # parallel_query_test shares one engine across threads. The same
       # kernel computes every node's partials, so dist_test and serve_test
       # run it from the estimator's concurrent node computes.
