@@ -62,10 +62,13 @@ void RunEstimatorAblation(const Table& census, const BenchConfig& config) {
 
   // Uniform-spread view of the *anatomy* partition: rebuild the groups from
   // the anatomized tables and treat each as a generalized cell.
-  Partition anatomy_partition;
-  anatomy_partition.groups.resize(published.anatomized.num_groups());
+  std::vector<std::vector<RowId>> groups(published.anatomized.num_groups());
   for (RowId r = 0; r < md.n(); ++r) {
-    anatomy_partition.groups[published.anatomized.group_of_row(r)].push_back(r);
+    groups[published.anatomized.group_of_row(r)].push_back(r);
+  }
+  Partition anatomy_partition;
+  for (const std::vector<RowId>& group : groups) {
+    anatomy_partition.AddGroup(group);
   }
   GeneralizedTable smeared = ValueOrDie(GeneralizedTable::Build(
       md, anatomy_partition, published.dataset.taxonomies));

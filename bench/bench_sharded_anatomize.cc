@@ -61,11 +61,11 @@ struct ShardedBenchConfig {
 };
 
 /// Heap allocations per row allowed inside one S = 4 ShardedAnatomizer::Run.
-/// The build measures 0.10 per row at n = 1M and 0.14 at n = 60k: one vector
-/// per group (l = 10), handed from each shard's partition to the merged one,
-/// plus the bucket vectors' growth. One more allocation per group would add
-/// 0.1 and trip the gate.
-constexpr double kMaxAllocsPerRow = 0.18;
+/// The build measures 0.040 per row at n = 60k (the self-check's size) and
+/// 0.0032 at n = 1M: the per-value bucket vectors' growth, with every
+/// partition flat. One allocation per group (0.1 per row at l = 10) would
+/// trip the gate.
+constexpr double kMaxAllocsPerRow = 0.05;
 
 /// One S = 4 build's footprint, as measured inside its own child.
 struct AllocProbeResult {
@@ -147,8 +147,9 @@ uint64_t PartitionDigest(const Partition& p) {
       h *= 0x100000001b3ULL;
     }
   };
-  mix(p.groups.size());
-  for (const auto& group : p.groups) {
+  mix(p.num_groups());
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    const std::span<const RowId> group = p.group(g);
     mix(group.size());
     for (RowId r : group) mix(r);
   }

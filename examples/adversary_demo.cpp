@@ -50,7 +50,8 @@ int main() {
 
   // The paper's 2-diverse grouping (tuples 1-4, 5-8).
   Partition grouping;
-  grouping.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  grouping.AddGroup(std::vector<RowId>{0, 1, 2, 3});
+  grouping.AddGroup(std::vector<RowId>{4, 5, 6, 7});
   const AnatomizedTables anatomized =
       OrDie(AnatomizedTables::Build(microdata, grouping));
   const GeneralizedTable generalized = OrDie(GeneralizedTable::Build(

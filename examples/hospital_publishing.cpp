@@ -3,10 +3,12 @@
 //
 //   1. Export a synthetic hospital admissions table to CSV (the raw data a
 //      publisher holds).
-//   2. Re-import it, choose l from the eligibility bound, anatomize.
-//   3. Export the QIT and ST as the two publishable CSV files.
-//   4. Publish a second table with TWO sensitive attributes (diagnosis and
-//      billing code) using the simultaneous-diversity extension.
+//   2. Re-import it, choose l from the eligibility bound, and compute both
+//      partitions: the Anatomize one, and one with TWO sensitive attributes
+//      (diagnosis and billing code) from the simultaneous-diversity
+//      extension, whose heuristic can fail on the data.
+//   3. Only then export the QIT and ST as the two publishable CSV files.
+//   4. Export one ST per sensitive attribute of the second publication.
 
 #include <cstdio>
 #include <cstdlib>
@@ -108,9 +110,22 @@ int main(int argc, char** argv) {
               "l = %d\n",
               max_l, l);
 
-  // 3. Anatomize and export the two publishable files.
+  // Both partitions before any publishable file: the multi-sensitive
+  // heuristic can strand a tuple (FailedPrecondition), and then nothing is
+  // published.
   Anatomizer anatomizer(AnatomizerOptions{.l = l, .seed = 2024});
   const Partition partition = OrDie(anatomizer.ComputePartition(md));
+  MultiMicrodata multi;
+  multi.table = imported;
+  multi.qi_columns = {0, 1, 2};
+  multi.sensitive_columns = {3, 4};
+  Die(multi.Validate());
+  MultiAnatomizer multi_anatomizer(MultiAnatomizerOptions{.l = l, .seed = 7});
+  const Partition multi_partition =
+      OrDie(multi_anatomizer.ComputePartition(multi));
+  Die(ValidateMultiLDiverse(multi, multi_partition, l));
+
+  // 3. Export the two publishable files.
   const AnatomizedTables tables = OrDie(AnatomizedTables::Build(md, partition));
   const std::string qit_path = outdir + "/admissions_qit.csv";
   const std::string st_path = outdir + "/admissions_st.csv";
@@ -122,15 +137,6 @@ int main(int argc, char** argv) {
               st_path.c_str(), tables.st().num_rows(), tables.num_groups());
 
   // 4. The multi-sensitive extension: protect Diagnosis AND Billing-code.
-  MultiMicrodata multi;
-  multi.table = imported;
-  multi.qi_columns = {0, 1, 2};
-  multi.sensitive_columns = {3, 4};
-  Die(multi.Validate());
-  MultiAnatomizer multi_anatomizer(MultiAnatomizerOptions{.l = l, .seed = 7});
-  const Partition multi_partition =
-      OrDie(multi_anatomizer.ComputePartition(multi));
-  Die(ValidateMultiLDiverse(multi, multi_partition, l));
   const std::vector<Table> sts = BuildMultiSt(multi, multi_partition);
   for (size_t s = 0; s < sts.size(); ++s) {
     const std::string path = outdir + "/admissions_st_" +

@@ -48,7 +48,8 @@ int main() {
 
   // --- The paper's grouping: tuples 1-4 and 5-8 (Tables 2 and 3). ---
   Partition paper_grouping;
-  paper_grouping.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  paper_grouping.AddGroup(std::vector<RowId>{0, 1, 2, 3});
+  paper_grouping.AddGroup(std::vector<RowId>{4, 5, 6, 7});
 
   const AnatomizedTables tables =
       OrDie(AnatomizedTables::Build(microdata, paper_grouping));

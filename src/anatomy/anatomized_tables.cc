@@ -1,6 +1,7 @@
 #include "anatomy/anatomized_tables.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "common/check.h"
@@ -11,53 +12,20 @@ StatusOr<AnatomizedTables> AnatomizedTables::Build(const Microdata& microdata,
                                                    const Partition& partition) {
   ANATOMY_RETURN_IF_ERROR(microdata.Validate());
   ANATOMY_RETURN_IF_ERROR(partition.ValidateCover(microdata.n()));
-
-  AnatomizedTables out;
-  const size_t d = microdata.d();
-  const size_t m = partition.num_groups();
-
-  out.group_of_row_ = partition.GroupOfRow(microdata.n());
-  out.group_sizes_.resize(m);
-  out.group_histograms_.resize(m);
-  for (GroupId g = 0; g < m; ++g) {
-    out.group_sizes_[g] = static_cast<uint32_t>(partition.groups[g].size());
-    out.group_histograms_[g] =
-        GroupSensitiveHistogram(microdata, partition.groups[g]);
+  std::vector<AttributeDef> qi_defs;
+  std::vector<std::vector<Code>> qit_columns;
+  for (size_t i = 0; i < microdata.d(); ++i) {
+    qi_defs.push_back(microdata.qi_attribute(i));
+    qit_columns.push_back(microdata.table.column(microdata.qi_columns[i]));
   }
-
-  // --- QIT schema: the QI attributes plus Group-ID (Definition 3). ---
-  std::vector<AttributeDef> qit_defs;
-  qit_defs.reserve(d + 1);
-  for (size_t i = 0; i < d; ++i) qit_defs.push_back(microdata.qi_attribute(i));
-  AttributeDef group_def = MakeNumerical(
-      "Group-ID", static_cast<Code>(m), /*base=*/1);  // display 1-based
-  qit_defs.push_back(group_def);
-  out.qit_ = Table(std::make_shared<Schema>(std::move(qit_defs)));
-  out.qit_.Reserve(microdata.n());
-  std::vector<Code> row(d + 1);
-  for (RowId r = 0; r < microdata.n(); ++r) {
-    for (size_t i = 0; i < d; ++i) row[i] = microdata.qi_value(r, i);
-    row[d] = static_cast<Code>(out.group_of_row_[r]);
-    out.qit_.AppendRow(row);
+  std::vector<Code>& group_ids = qit_columns.emplace_back(microdata.n());
+  for (GroupId g = 0; g < partition.num_groups(); ++g) {
+    for (RowId r : partition.group(g)) group_ids[r] = static_cast<Code>(g);
   }
-
-  // --- ST schema: (Group-ID, As, Count). ---
-  std::vector<AttributeDef> st_defs;
-  st_defs.push_back(group_def);
-  st_defs.push_back(microdata.sensitive_attribute());
-  st_defs.push_back(MakeNumerical(
-      "Count", static_cast<Code>(microdata.n()) + 1));
-  out.st_ = Table(std::make_shared<Schema>(std::move(st_defs)));
-  std::vector<Code> record(3);
-  for (GroupId g = 0; g < m; ++g) {
-    for (const auto& [value, count] : out.group_histograms_[g]) {
-      record[0] = static_cast<Code>(g);
-      record[1] = value;
-      record[2] = static_cast<Code>(count);
-      out.st_.AppendRow(record);
-    }
-  }
-  return out;
+  return FromPublishedTables(
+      Table(QitSchema(std::move(qi_defs), partition.num_groups()),
+            std::move(qit_columns)),
+      BuildSensitiveTable(microdata, partition));
 }
 
 StatusOr<AnatomizedTables> AnatomizedTables::FromPublishedTables(Table qit,
@@ -73,88 +41,112 @@ StatusOr<AnatomizedTables> AnatomizedTables::FromPublishedTables(Table qit,
       st.schema().attribute(0).name != "Group-ID") {
     return Status::InvalidArgument("Group-ID columns not where expected");
   }
-  const Code m_qit = qit.schema().attribute(d).domain_size;
+  const size_t m = static_cast<size_t>(qit.schema().attribute(d).domain_size);
+  std::vector<uint64_t> qit_sizes(m, 0);
+  for (const Code g : qit.column(d)) ++qit_sizes[static_cast<size_t>(g)];
+
+  // Build and the external pipeline write the ST in (Group-ID, As) order;
+  // any other order is sorted into it once.
+  const auto before = [&st](RowId a, RowId b) {
+    return std::pair(st.at(a, 0), st.at(a, 1)) <
+           std::pair(st.at(b, 0), st.at(b, 1));
+  };
+  const auto st_rows = std::views::iota(RowId{0}, st.num_rows());
+  if (!std::ranges::is_sorted(st_rows, before)) {
+    std::vector<RowId> order(st_rows.begin(), st_rows.end());
+    std::ranges::stable_sort(order, before);
+    st = st.SelectRows(order);
+  }
 
   AnatomizedTables out;
-  out.group_sizes_.assign(static_cast<size_t>(m_qit), 0);
-  out.group_of_row_.resize(qit.num_rows());
-  for (RowId r = 0; r < qit.num_rows(); ++r) {
-    const Code g = qit.at(r, d);
-    out.group_of_row_[r] = static_cast<GroupId>(g);
-    ++out.group_sizes_[static_cast<size_t>(g)];
+  out.st_offsets_.assign(m + 1, 0);
+  std::vector<uint64_t> st_totals(m, 0);
+  for (RowId r = 0; r < st.num_rows(); ++r) {
+    const size_t g = static_cast<size_t>(st.at(r, 0));
+    if (g >= m) return Status::InvalidArgument("ST references unknown group");
+    if (st.at(r, 2) <= 0) {
+      return Status::InvalidArgument("non-positive ST count");
+    }
+    if (r > 0 && !before(r - 1, r)) {
+      return Status::InvalidArgument("duplicate ST record for one value");
+    }
+    ++out.st_offsets_[g + 1];
+    st_totals[g] += static_cast<uint64_t>(st.at(r, 2));
   }
-  for (size_t g = 0; g < out.group_sizes_.size(); ++g) {
-    if (out.group_sizes_[g] == 0) {
+  for (size_t g = 0; g < m; ++g) {
+    if (qit_sizes[g] == 0) {
       return Status::InvalidArgument("group " + std::to_string(g + 1) +
                                      " has no QIT tuples");
     }
-  }
-
-  out.group_histograms_.resize(out.group_sizes_.size());
-  std::vector<uint64_t> st_totals(out.group_sizes_.size(), 0);
-  for (RowId r = 0; r < st.num_rows(); ++r) {
-    const size_t g = static_cast<size_t>(st.at(r, 0));
-    if (g >= out.group_histograms_.size()) {
-      return Status::InvalidArgument("ST references unknown group");
-    }
-    const Code value = st.at(r, 1);
-    const Code count = st.at(r, 2);
-    if (count <= 0) {
-      return Status::InvalidArgument("non-positive ST count");
-    }
-    out.group_histograms_[g].emplace_back(value,
-                                          static_cast<uint32_t>(count));
-    st_totals[g] += static_cast<uint64_t>(count);
-  }
-  for (size_t g = 0; g < out.group_sizes_.size(); ++g) {
-    if (st_totals[g] != out.group_sizes_[g]) {
+    if (st_totals[g] != qit_sizes[g]) {
       return Status::InvalidArgument(
           "group " + std::to_string(g + 1) + ": ST counts sum to " +
           std::to_string(st_totals[g]) + " but the QIT has " +
-          std::to_string(out.group_sizes_[g]) + " tuples");
+          std::to_string(qit_sizes[g]) + " tuples");
     }
-    auto& hist = out.group_histograms_[g];
-    std::sort(hist.begin(), hist.end());
-    for (size_t i = 1; i < hist.size(); ++i) {
-      if (hist[i].first == hist[i - 1].first) {
-        return Status::InvalidArgument("duplicate ST record for one value");
-      }
-    }
+    out.st_offsets_[g + 1] += out.st_offsets_[g];
   }
   out.qit_ = std::move(qit);
   out.st_ = std::move(st);
   return out;
 }
 
+uint32_t AnatomizedTables::group_size(GroupId g) const {
+  const std::vector<Code>& counts = st_.column(2);
+  return static_cast<uint32_t>(
+      std::accumulate(counts.begin() + st_offsets_[g],
+                      counts.begin() + st_offsets_[g + 1], uint64_t{0}));
+}
+
+GroupHistogram AnatomizedTables::group_histogram(GroupId g) const {
+  return GroupHistogram(std::views::iota(st_offsets_[g], st_offsets_[g + 1]),
+                        StRecord{&st_});
+}
+
 uint32_t AnatomizedTables::GroupCount(GroupId g, Code v) const {
-  const auto& hist = group_histograms_[g];
-  auto it = std::lower_bound(
-      hist.begin(), hist.end(), v,
-      [](const std::pair<Code, uint32_t>& e, Code v) { return e.first < v; });
-  if (it != hist.end() && it->first == v) return it->second;
-  return 0;
+  const GroupHistogram hist = group_histogram(g);
+  const auto it = std::ranges::lower_bound(
+      hist, v, {}, [](const std::pair<Code, uint32_t>& e) { return e.first; });
+  return it != hist.end() && (*it).first == v ? (*it).second : 0;
 }
 
-size_t AnatomizedTables::TotalStRecords() const {
-  size_t total = 0;
-  for (const auto& hist : group_histograms_) total += hist.size();
-  return total;
+SchemaPtr QitSchema(std::vector<AttributeDef> qi_defs, size_t groups) {
+  qi_defs.push_back(
+      MakeNumerical("Group-ID", static_cast<Code>(groups), /*base=*/1));
+  return std::make_shared<Schema>(std::move(qi_defs));
 }
 
-Status CheckGroupLDiversity(
-    const std::vector<std::pair<Code, uint32_t>>& histogram, uint64_t size,
-    int l, GroupId g) {
-  uint64_t max_count = 0;
-  for (const auto& [value, count] : histogram) {
-    max_count = std::max<uint64_t>(max_count, count);
+SchemaPtr StSchema(const AttributeDef& sensitive, size_t groups,
+                   uint64_t rows) {
+  return std::make_shared<Schema>(std::vector<AttributeDef>{
+      MakeNumerical("Group-ID", static_cast<Code>(groups), /*base=*/1),
+      sensitive, MakeNumerical("Count", static_cast<Code>(rows) + 1)});
+}
+
+Table BuildSensitiveTable(const Microdata& microdata,
+                          const Partition& partition) {
+  // One record per distinct value of each group, so at most n records.
+  std::vector<std::vector<Code>> columns(3);
+  for (std::vector<Code>& column : columns) column.reserve(microdata.n());
+  const std::vector<Code>& sensitive =
+      microdata.table.column(microdata.sensitive_column);
+  std::vector<Code> values;
+  for (GroupId g = 0; g < partition.num_groups(); ++g) {
+    values.clear();
+    for (RowId r : partition.group(g)) values.push_back(sensitive[r]);
+    std::sort(values.begin(), values.end());
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i == 0 || values[i] != values[i - 1]) {
+        columns[0].push_back(static_cast<Code>(g));
+        columns[1].push_back(values[i]);
+        columns[2].push_back(0);
+      }
+      ++columns[2].back();
+    }
   }
-  if (max_count * static_cast<uint64_t>(l) > size) {
-    return Status::FailedPrecondition(
-        "group " + std::to_string(g + 1) + " violates " + std::to_string(l) +
-        "-diversity (" + std::to_string(max_count) + "/" +
-        std::to_string(size) + ")");
-  }
-  return Status::OK();
+  return Table(StSchema(microdata.sensitive_attribute(),
+                        partition.num_groups(), microdata.n()),
+               std::move(columns));
 }
 
 Status VerifyLDiversity(const AnatomizedTables& tables, int l) {

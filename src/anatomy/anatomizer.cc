@@ -146,11 +146,12 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
   bucketize_span.End();
   size_t non_empty = buckets.size();
 
-  Partition partition;
-  /// The l sensitive values drawn into each group, flat: group g's values
-  /// are group_codes[g*l, (g+1)*l). Residue assignment reads membership
-  /// from here.
+  // Each group's l drawn rows and their sensitive values, flat: group g's
+  // are [g*l, (g+1)*l) of both. Residue assignment reads group_codes.
+  std::vector<RowId> drawn_rows;
   std::vector<Code> group_codes;
+  drawn_rows.reserve(sensitive.size());
+  group_codes.reserve(sensitive.size());
 
   // ---- Group-creation step (Lines 3-8). ----
   obs::ScopedSpan group_draw_span("anatomize.group_draw", "anatomize");
@@ -192,13 +193,9 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
         break;
       }
     }
-    // The group row list itself stays std::vector<RowId>: it is moved into
-    // Partition, whose layout is public API.
-    std::vector<RowId> group;
-    group.reserve(l);
     for (size_t idx : drawn) {
       Bucket& bucket = buckets[idx];
-      group.push_back(bucket.PopRandom(rng));
+      drawn_rows.push_back(bucket.PopRandom(rng));
       group_codes.push_back(bucket.value);
       if (bucket.rows.empty()) {
         --non_empty;
@@ -206,7 +203,6 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
         queue.Push(idx, bucket.rows.size());
       }
     }
-    partition.groups.push_back(std::move(group));
   }
   group_draw_span.End();
   if (metrics_on) {
@@ -221,9 +217,10 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
   // (Property 1) when running the paper's policy; the round-robin ablation
   // can leave more, in which case the same per-tuple assignment is attempted
   // and may correctly fail.
-  const size_t num_groups = partition.groups.size();
+  const size_t num_groups = drawn_rows.size() / l;
   std::vector<uint8_t> has_value;  // has_value[g]: group g holds the value
   std::vector<GroupId> candidates;
+  std::vector<std::pair<GroupId, RowId>> residues;  // (group, row)
   for (const Bucket& bucket : buckets) {
     if (bucket.rows.empty()) continue;
     // Buckets hold distinct values, so placing this bucket's tuples only
@@ -247,23 +244,21 @@ StatusOr<Partition> Anatomizer::ComputePartitionFromCodes(
             "eligible or a non-paper bucket policy stranded too many tuples");
       }
       const GroupId g = candidates[rng.NextBounded(candidates.size())];
-      partition.groups[g].push_back(r);
+      residues.push_back({g, r});
       has_value[g] = 1;
     }
   }
+  Partition partition = PartitionWithResidues(drawn_rows, l, residues);
   residue_span.End();
   if (metrics_on) {
     registry.GetHistogram("anatomize.phase.residue_ns")
         ->Record(residue_watch.ElapsedNanos());
-    size_t residues = 0;
-    for (const Bucket& bucket : buckets) residues += bucket.rows.size();
     registry.GetCounter("anatomize.runs")->Increment();
-    registry.GetCounter("anatomize.groups")
-        ->Increment(partition.groups.size());
-    registry.GetCounter("anatomize.residues")->Increment(residues);
+    registry.GetCounter("anatomize.groups")->Increment(num_groups);
+    registry.GetCounter("anatomize.residues")->Increment(residues.size());
   }
 
-  if (partition.groups.empty()) {
+  if (num_groups == 0) {
     return Status::FailedPrecondition(
         "cardinality below l: no QI-group could be formed");
   }

@@ -179,8 +179,6 @@ StatusOr<ExternalAnatomizeResult> RunPipeline(const AnatomizerOptions& options,
         heap.push({cursor_list[idx]->remaining(), idx});
       }
     }
-    std::vector<RowId> group_rows;
-    group_rows.reserve(l);
     for (size_t idx : drawn) {
       BucketCursor* cursor = cursor_list[idx];
       ANATOMY_ASSIGN_OR_RETURN(bool more, cursor->reader->Next(rec));
@@ -192,17 +190,15 @@ StatusOr<ExternalAnatomizeResult> RunPipeline(const AnatomizerOptions& options,
       group_rec[0] = gcnt;
       std::copy(rec.begin(), rec.end(), group_rec.begin() + 1);
       ANATOMY_RETURN_IF_ERROR(group_writer.Append(group_rec));
-      group_rows.push_back(static_cast<RowId>(rec[0]));
       if (cursor->remaining() == 0) {
         --non_empty;
       } else {
         heap.push({cursor->remaining(), idx});
       }
     }
-    result.partition.groups.push_back(std::move(group_rows));
     ++gcnt;
   }
-  if (result.partition.groups.empty()) {
+  if (gcnt == 0) {
     return Status::FailedPrecondition(
         "cardinality below l: no QI-group could be formed");
   }
@@ -241,7 +237,8 @@ StatusOr<ExternalAnatomizeResult> RunPipeline(const AnatomizerOptions& options,
   // ---- Stage 3: residue-assignment fused with QIT/ST publication
   // (Lines 9-18): one scan of the group file. A residue joins the first
   // scanned group lacking its sensitive value (Property 2 guarantees one
-  // exists; "a random QI-group in S'" permits any choice). ----
+  // exists; "a random QI-group in S'" permits any choice). The scan meets
+  // the groups in order, so it also builds the partition. ----
   RecordFile qit_file(disk, d + 1);
   RecordFile st_file(disk, 3);
   RecordWriter qit_writer(pool, &qit_file);
@@ -252,8 +249,8 @@ StatusOr<ExternalAnatomizeResult> RunPipeline(const AnatomizerOptions& options,
   std::vector<int32_t> st_rec(3);
 
   int32_t current_group = -1;
+  std::vector<RowId> group_rows;   // rows of the current group
   std::vector<Code> group_values;  // sensitive values of the current group
-  std::vector<std::pair<Code, uint32_t>> st_records;
 
   auto flush_group = [&]() -> Status {
     if (current_group < 0) return Status::OK();
@@ -265,23 +262,16 @@ StatusOr<ExternalAnatomizeResult> RunPipeline(const AnatomizerOptions& options,
         continue;
       }
       res.placed = true;
-      result.partition.groups[current_group].push_back(res.row);
+      group_rows.push_back(res.row);
       group_values.push_back(res.value);
       for (size_t i = 0; i < d; ++i) qit_rec[i] = res.qi[i];
       qit_rec[d] = current_group;
       ANATOMY_RETURN_IF_ERROR(qit_writer.Append(qit_rec));
     }
+    result.partition.AddGroup(group_rows);
     // Emit ST records (each value occurs once per group — Property 3; the
     // histogram form handles general partitions).
-    std::sort(group_values.begin(), group_values.end());
-    st_records.clear();
-    for (size_t i = 0; i < group_values.size();) {
-      size_t j = i;
-      while (j < group_values.size() && group_values[j] == group_values[i]) ++j;
-      st_records.emplace_back(group_values[i], static_cast<uint32_t>(j - i));
-      i = j;
-    }
-    for (const auto& [value, count] : st_records) {
+    for (const auto& [value, count] : ValueHistogram(group_values)) {
       st_rec[0] = current_group;
       st_rec[1] = value;
       st_rec[2] = static_cast<int32_t>(count);
@@ -296,8 +286,10 @@ StatusOr<ExternalAnatomizeResult> RunPipeline(const AnatomizerOptions& options,
     if (group_rec[0] != current_group) {
       ANATOMY_RETURN_IF_ERROR(flush_group());
       current_group = group_rec[0];
+      group_rows.clear();
       group_values.clear();
     }
+    group_rows.push_back(static_cast<RowId>(group_rec[1]));
     group_values.push_back(group_rec[2]);
     for (size_t i = 0; i < d; ++i) {
       qit_rec[i] = group_rec[3 + i];

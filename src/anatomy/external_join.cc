@@ -42,16 +42,12 @@ StatusOr<ExternalJoinResult> JoinPipeline(const AnatomizedTables& tables,
   disk->ResetStats();
 
   obs::ScopedSpan join_span("external_join.sort_merge", "external_join");
-  // ---- Sort both sides by Group-ID. The ST is written grouped already,
-  // but a robust implementation must not rely on that. ----
+  // ---- Sort the QIT by Group-ID. The ST is in (Group-ID, As) order
+  // already: AnatomizedTables keeps it so. ----
   SortSpec qit_spec;
   qit_spec.key_fields = {d};  // group id is the last QIT field
   ANATOMY_ASSIGN_OR_RETURN(auto sorted_qit,
                            ExternalSort(&qit_file, qit_spec, pool));
-  SortSpec st_spec;
-  st_spec.key_fields = {0, 1};
-  ANATOMY_ASSIGN_OR_RETURN(auto sorted_st,
-                           ExternalSort(&st_file, st_spec, pool));
 
   // ---- Merge join: for each QIT tuple, emit one record per ST record of
   // its group. Groups are small (O(l) ST records), so the current group's
@@ -61,7 +57,7 @@ StatusOr<ExternalJoinResult> JoinPipeline(const AnatomizedTables& tables,
   RecordWriter writer(pool, result.joined.get());
 
   RecordReader qit_reader(pool, sorted_qit.get());
-  RecordReader st_reader(pool, sorted_st.get());
+  RecordReader st_reader(pool, &st_file);
   std::vector<int32_t> qit_rec(qit_fields);
   std::vector<int32_t> st_rec(3);
   std::vector<int32_t> out_rec(d + 3);
@@ -101,7 +97,7 @@ StatusOr<ExternalJoinResult> JoinPipeline(const AnatomizedTables& tables,
   }
   ANATOMY_RETURN_IF_ERROR(pool->FlushAll());
   ANATOMY_RETURN_IF_ERROR(sorted_qit->FreeAll(pool));
-  ANATOMY_RETURN_IF_ERROR(sorted_st->FreeAll(pool));
+  ANATOMY_RETURN_IF_ERROR(st_file.FreeAll(pool));
   result.io = disk->stats();
   join_span.End();
 

@@ -1,9 +1,9 @@
 // External natural join QIT |><| ST (Lemma 1) on the simulated disk.
 //
 // The adversary's reconstruction view (Table 4) over publications too large
-// for memory: both files are sorted by Group-ID with the external merge sort
-// and merge-joined in one pass, all under the buffer-pool budget and with
-// counted I/O. Record layouts:
+// for memory: the QIT is sorted by Group-ID with the external merge sort (the
+// ST is in Group-ID order already) and merge-joined with the ST in one pass,
+// all under the buffer-pool budget and with counted I/O. Record layouts:
 //   QIT file : [qi_1 .. qi_d, group_id]       (d + 1 fields)
 //   ST file  : [group_id, sensitive, count]   (3 fields)
 //   join file: [qi_1 .. qi_d, group_id, sensitive, count]  (d + 3 fields)

@@ -4,6 +4,7 @@
 #include <queue>
 #include <set>
 
+#include "anatomy/anatomized_tables.h"
 #include "anatomy/eligibility.h"
 #include "common/check.h"
 #include "common/rng.h"
@@ -76,7 +77,8 @@ StatusOr<Partition> MultiAnatomizer::ComputePartition(
     }
   }
 
-  Partition partition;
+  // Each complete group's rows, flat: group g's are drawn[g*l, (g+1)*l).
+  std::vector<RowId> drawn;
   // Values already present in the group under construction, per attribute.
   std::vector<std::set<Code>> used(k);
 
@@ -95,10 +97,12 @@ StatusOr<Partition> MultiAnatomizer::ComputePartition(
     group.push_back(r);
   };
 
+  std::vector<RowId> group;
+  std::vector<std::pair<size_t, size_t>> popped;  // for re-push
   while (non_empty >= l) {
     for (auto& u : used) u.clear();
-    std::vector<RowId> group;
-    std::vector<std::pair<size_t, size_t>> popped;  // for re-push
+    group.clear();
+    popped.clear();
 
     // Draw from largest primary buckets, skipping tuples that collide on a
     // secondary attribute; within a bucket scan from a random offset so ties
@@ -139,30 +143,30 @@ StatusOr<Partition> MultiAnatomizer::ComputePartition(
       }
       break;
     }
-    partition.groups.push_back(std::move(group));
+    drawn.insert(drawn.end(), group.begin(), group.end());
   }
 
-  if (partition.groups.empty()) {
+  const size_t num_groups = drawn.size() / l;
+  if (num_groups == 0) {
     return Status::FailedPrecondition(
         "could not form any simultaneously diverse QI-group");
   }
 
   // Residue assignment: place each leftover tuple into a group where all of
   // its sensitive values are absent.
-  std::vector<std::vector<std::set<Code>>> group_used(partition.num_groups(),
-                                                      std::vector<std::set<Code>>(k));
-  for (GroupId g = 0; g < partition.num_groups(); ++g) {
-    for (RowId r : partition.groups[g]) {
-      for (size_t s = 0; s < k; ++s) {
-        group_used[g][s].insert(
-            microdata.table.at(r, microdata.sensitive_columns[s]));
-      }
+  std::vector<std::vector<std::set<Code>>> group_used(
+      num_groups, std::vector<std::set<Code>>(k));
+  for (size_t i = 0; i < drawn.size(); ++i) {
+    for (size_t s = 0; s < k; ++s) {
+      group_used[i / l][s].insert(
+          microdata.table.at(drawn[i], microdata.sensitive_columns[s]));
     }
   }
+  std::vector<std::pair<GroupId, RowId>> residues;  // (group, row)
   for (auto& bucket : buckets) {
     for (RowId r : bucket) {
       std::vector<GroupId> candidates;
-      for (GroupId g = 0; g < partition.num_groups(); ++g) {
+      for (GroupId g = 0; g < num_groups; ++g) {
         bool ok = true;
         for (size_t s = 0; s < k && ok; ++s) {
           ok = group_used[g][s].count(microdata.table.at(
@@ -171,19 +175,19 @@ StatusOr<Partition> MultiAnatomizer::ComputePartition(
         if (ok) candidates.push_back(g);
       }
       if (candidates.empty()) {
-        return Status::Internal(
+        return Status::FailedPrecondition(
             "multi-sensitive heuristic stranded a tuple; no group can absorb "
             "it without breaking simultaneous diversity");
       }
       const GroupId g = candidates[rng.NextBounded(candidates.size())];
-      partition.groups[g].push_back(r);
+      residues.push_back({g, r});
       for (size_t s = 0; s < k; ++s) {
         group_used[g][s].insert(
             microdata.table.at(r, microdata.sensitive_columns[s]));
       }
     }
   }
-  return partition;
+  return PartitionWithResidues(drawn, l, residues);
 }
 
 Status ValidateMultiLDiverse(const MultiMicrodata& microdata,
@@ -201,25 +205,8 @@ std::vector<Table> BuildMultiSt(const MultiMicrodata& microdata,
   std::vector<Table> tables;
   tables.reserve(microdata.sensitive_columns.size());
   for (size_t s = 0; s < microdata.sensitive_columns.size(); ++s) {
-    const Microdata view = microdata.WithSensitive(s);
-    std::vector<AttributeDef> defs;
-    defs.push_back(MakeNumerical(
-        "Group-ID", static_cast<Code>(partition.num_groups()), /*base=*/1));
-    defs.push_back(view.sensitive_attribute());
-    defs.push_back(MakeNumerical(
-        "Count", static_cast<Code>(microdata.n()) + 1));
-    Table st(std::make_shared<Schema>(std::move(defs)));
-    std::vector<Code> record(3);
-    for (GroupId g = 0; g < partition.num_groups(); ++g) {
-      for (const auto& [value, count] :
-           GroupSensitiveHistogram(view, partition.groups[g])) {
-        record[0] = static_cast<Code>(g);
-        record[1] = value;
-        record[2] = static_cast<Code>(count);
-        st.AppendRow(record);
-      }
-    }
-    tables.push_back(std::move(st));
+    tables.push_back(
+        BuildSensitiveTable(microdata.WithSensitive(s), partition));
   }
   return tables;
 }

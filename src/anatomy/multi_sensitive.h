@@ -50,8 +50,9 @@ class MultiAnatomizer {
   explicit MultiAnatomizer(const MultiAnatomizerOptions& options);
 
   /// Greedy simultaneous partition. Fails with FailedPrecondition when some
-  /// attribute is not l-eligible, and with Internal when the heuristic
-  /// strands tuples it cannot place.
+  /// attribute is not l-eligible, and also when the heuristic strands a
+  /// tuple no group can absorb: an outcome of the data, which can happen
+  /// even when a simultaneous l-diverse partition exists.
   StatusOr<Partition> ComputePartition(const MultiMicrodata& microdata) const;
 
  private:

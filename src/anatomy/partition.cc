@@ -1,21 +1,20 @@
 #include "anatomy/partition.h"
 
-#include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
 namespace anatomy {
 
-RowId Partition::TotalRows() const {
-  RowId total = 0;
-  for (const auto& g : groups) total += static_cast<RowId>(g.size());
-  return total;
+void Partition::AddGroup(std::span<const RowId> rows) {
+  rows_.insert(rows_.end(), rows.begin(), rows.end());
+  offsets_.push_back(static_cast<RowId>(rows_.size()));
 }
 
 std::vector<GroupId> Partition::GroupOfRow(RowId n) const {
   std::vector<GroupId> owner(n, static_cast<GroupId>(-1));
-  for (GroupId g = 0; g < groups.size(); ++g) {
-    for (RowId r : groups[g]) {
+  for (GroupId g = 0; g < num_groups(); ++g) {
+    for (RowId r : group(g)) {
       ANATOMY_CHECK(r < n);
       ANATOMY_CHECK_MSG(owner[r] == static_cast<GroupId>(-1),
                         "row assigned to two groups");
@@ -31,9 +30,9 @@ std::vector<GroupId> Partition::GroupOfRow(RowId n) const {
 
 Status Partition::ValidateCover(RowId n) const {
   std::vector<bool> seen(n, false);
-  for (const auto& group : groups) {
-    if (group.empty()) return Status::InvalidArgument("empty QI-group");
-    for (RowId r : group) {
+  for (GroupId g = 0; g < num_groups(); ++g) {
+    if (group(g).empty()) return Status::InvalidArgument("empty QI-group");
+    for (RowId r : group(g)) {
       if (r >= n) return Status::OutOfRange("row id beyond table");
       if (seen[r]) {
         return Status::InvalidArgument("row " + std::to_string(r) +
@@ -53,48 +52,60 @@ Status Partition::ValidateCover(RowId n) const {
 
 Status Partition::ValidateLDiverse(const Microdata& microdata, int l) const {
   if (l < 1) return Status::InvalidArgument("l must be >= 1");
-  for (GroupId g = 0; g < groups.size(); ++g) {
-    const auto hist = GroupSensitiveHistogram(microdata, groups[g]);
-    uint32_t max_count = 0;
-    for (const auto& [code, count] : hist) max_count = std::max(max_count, count);
-    // Inequality 1: cj(v)/|QIj| <= 1/l  <=>  cj(v) * l <= |QIj|.
-    if (static_cast<uint64_t>(max_count) * l > groups[g].size()) {
-      return Status::FailedPrecondition(
-          "group " + std::to_string(g + 1) + " violates " + std::to_string(l) +
-          "-diversity: max sensitive count " + std::to_string(max_count) +
-          " of " + std::to_string(groups[g].size()) + " tuples");
-    }
+  for (GroupId g = 0; g < num_groups(); ++g) {
+    ANATOMY_RETURN_IF_ERROR(CheckGroupLDiversity(
+        GroupSensitiveHistogram(microdata, group(g)), group(g).size(), l, g));
   }
   return Status::OK();
 }
 
 int Partition::MaxDiversity(const Microdata& microdata) const {
-  int best = 0;
-  bool first = true;
-  for (const auto& group : groups) {
-    if (group.empty()) return 0;
-    const auto hist = GroupSensitiveHistogram(microdata, group);
-    uint32_t max_count = 0;
-    for (const auto& [code, count] : hist) max_count = std::max(max_count, count);
-    const int group_l = static_cast<int>(group.size() / max_count);
-    best = first ? group_l : std::min(best, group_l);
-    first = false;
+  uint64_t best = num_groups() == 0 ? 0 : UINT64_MAX;
+  for (GroupId g = 0; g < num_groups(); ++g) {
+    if (group(g).empty()) return 0;
+    best = std::min(best, GroupDiversity(GroupSensitiveHistogram(
+                                             microdata, group(g)),
+                                         group(g).size()));
   }
-  return best;
+  return static_cast<int>(best);
+}
+
+Partition PartitionWithResidues(
+    std::span<const RowId> drawn, size_t l,
+    std::span<const std::pair<GroupId, RowId>> residues) {
+  ANATOMY_CHECK(l > 0 && drawn.size() % l == 0);
+  std::vector<std::pair<GroupId, RowId>> sorted(residues.begin(),
+                                                residues.end());
+  std::ranges::stable_sort(sorted, {}, &std::pair<GroupId, RowId>::first);
+  Partition partition;
+  std::vector<RowId> group;
+  auto next = sorted.begin();
+  for (GroupId g = 0; g < drawn.size() / l; ++g) {
+    group.assign(drawn.begin() + g * l, drawn.begin() + (g + 1) * l);
+    for (; next != sorted.end() && next->first == g; ++next) {
+      group.push_back(next->second);
+    }
+    partition.AddGroup(group);
+  }
+  ANATOMY_CHECK(next == sorted.end());
+  return partition;
 }
 
 std::vector<std::pair<Code, uint32_t>> GroupSensitiveHistogram(
-    const Microdata& microdata, const std::vector<RowId>& group) {
+    const Microdata& microdata, std::span<const RowId> group) {
   std::vector<Code> values;
   values.reserve(group.size());
   for (RowId r : group) values.push_back(microdata.sensitive_value(r));
+  return ValueHistogram(std::move(values));
+}
+
+std::vector<std::pair<Code, uint32_t>> ValueHistogram(
+    std::vector<Code> values) {
   std::sort(values.begin(), values.end());
   std::vector<std::pair<Code, uint32_t>> hist;
-  for (size_t i = 0; i < values.size();) {
-    size_t j = i;
-    while (j < values.size() && values[j] == values[i]) ++j;
-    hist.emplace_back(values[i], static_cast<uint32_t>(j - i));
-    i = j;
+  for (const Code v : values) {
+    if (hist.empty() || hist.back().first != v) hist.emplace_back(v, 0);
+    ++hist.back().second;
   }
   return hist;
 }

@@ -37,14 +37,15 @@ bool ShardEligible(std::span<const uint32_t> counts, uint64_t rows, int l) {
 }
 
 /// Appends `partition`'s groups to `merged`, translating the shard-local row
-/// ids through `rows` (local index -> global RowId) in place, so a moved-in
-/// partition hands its group vectors over without a copy. Group ids are
+/// ids through `rows` (local index -> global RowId). Group ids are
 /// prefix-offset implicitly: groups are appended in shard order.
-void AppendShardPartition(Partition partition, const std::vector<RowId>& rows,
-                          Partition& merged) {
-  for (auto& group : partition.groups) {
-    for (RowId& r : group) r = rows[r];
-    merged.groups.push_back(std::move(group));
+void AppendShardPartition(const Partition& partition,
+                          const std::vector<RowId>& rows, Partition& merged) {
+  std::vector<RowId> global;
+  for (GroupId g = 0; g < partition.num_groups(); ++g) {
+    global.clear();
+    for (RowId r : partition.group(g)) global.push_back(rows[r]);
+    merged.AddGroup(global);
   }
 }
 
@@ -187,8 +188,8 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
                         std::to_string(num_shards) + " failed: " +
                         shard_partitions[s].status().message());
     }
-    AppendShardPartition(std::move(shard_partitions[s]).value(),
-                         split.shard_rows[s], result.partition);
+    AppendShardPartition(shard_partitions[s].value(), split.shard_rows[s],
+                         result.partition);
   }
 
   if (obs::MetricsEnabled()) {
@@ -197,7 +198,7 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
     registry.GetCounter("anatomize.shard.shards_run")->Increment(num_shards);
     registry.GetCounter("anatomize.shard.merged")->Increment(split.merges);
     registry.GetCounter("anatomize.shard.groups")
-        ->Increment(result.partition.groups.size());
+        ->Increment(result.partition.num_groups());
   }
   return result;
 }
@@ -271,19 +272,15 @@ StatusOr<ShardedPublishResult> ShardedExternalAnatomizer::RunPublished(
   result.shards_run = num_shards;
   result.merged_shards = split.merges;
   result.manifests.reserve(num_shards);
-  result.shard_partitions.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     ExternalAnatomizeResult& shard = shard_results[s].value();
     AppendShardPartition(shard.partition, split.shard_rows[s], result.merged);
-    Partition global;
-    AppendShardPartition(std::move(shard.partition), split.shard_rows[s],
-                         global);
-    result.shard_partitions.push_back(std::move(global));
+    result.shard_groups.push_back(
+        static_cast<GroupId>(shard.partition.num_groups()));
     result.manifests.push_back(std::move(shard.manifest));
     result.io += shard.io;
     result.commit_io += shard.commit_io;
   }
-  result.split = std::move(split);
 
   if (obs::MetricsEnabled()) {
     obs::MetricRegistry& registry = obs::MetricRegistry::Global();

@@ -101,13 +101,13 @@ class ShardedAnatomizer {
 struct ShardedPublishResult {
   /// manifests[s]: committed, verified publication of shard s on disks[s].
   std::vector<StorageManifest> manifests;
-  /// shard_partitions[s]: shard s's partition in *global* row ids (shard-
-  /// local group ids starting at 0 on each shard).
-  std::vector<Partition> shard_partitions;
-  /// All shards concatenated in shard order, group ids prefix-offset: the
-  /// one logical publication the per-node publications make up.
+  /// All shards concatenated in shard order, group ids prefix-offset, in
+  /// global row ids: the one logical publication the per-node publications
+  /// make up.
   Partition merged;
-  ShardSplit split;
+  /// shard_groups[s]: the group count of shard s, whose groups are the next
+  /// shard_groups[s] of `merged`.
+  std::vector<GroupId> shard_groups;
   /// Algorithm I/O summed across shards (still O(n/b) in total: each shard
   /// is O(n_s / b) on its own disk).
   IoStats io;

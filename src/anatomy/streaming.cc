@@ -17,17 +17,18 @@ constexpr size_t kInt32Limit = static_cast<size_t>(INT32_MAX);
 
 /// Figure 3 group-creation iterations against the given buffer state: while
 /// at least l distinct values are live and at least `emit_threshold` tuples
-/// are buffered, draw one random tuple from each of the l largest buckets.
-/// Operates entirely on caller-supplied state so Finish() can run the drain
-/// on copies and commit only when the whole tail resolves.
+/// are buffered, draw one random tuple from each of the l largest buckets,
+/// appending it and its value to `rows` and `values`. Operates entirely on
+/// caller-supplied state so Finish() can run the drain and undo it unless
+/// the whole tail resolves.
 void EmitGroups(size_t l, size_t emit_threshold, Rng& rng,
                 std::vector<std::vector<RowId>>& buckets, size_t& buffered,
-                size_t& non_empty, std::vector<std::vector<RowId>>& groups,
-                std::vector<std::vector<Code>>& group_values) {
+                size_t& non_empty, std::vector<RowId>& rows,
+                std::vector<Code>& values) {
+  std::vector<size_t> order;
   while (non_empty >= l && buffered >= emit_threshold) {
     // One iteration of Figure 3's group creation: the l largest buckets.
-    std::vector<size_t> order;
-    order.reserve(buckets.size());
+    order.clear();
     for (size_t b = 0; b < buckets.size(); ++b) {
       if (!buckets[b].empty()) order.push_back(b);
     }
@@ -35,22 +36,16 @@ void EmitGroups(size_t l, size_t emit_threshold, Rng& rng,
                       order.end(), [&](size_t a, size_t b) {
                         return buckets[a].size() > buckets[b].size();
                       });
-    std::vector<RowId> group;
-    std::vector<Code> values;
-    group.reserve(l);
-    values.reserve(l);
     for (size_t k = 0; k < l; ++k) {
       auto& bucket = buckets[order[k]];
       const size_t pick = rng.NextBounded(bucket.size());
       std::swap(bucket[pick], bucket.back());
-      group.push_back(bucket.back());
+      rows.push_back(bucket.back());
       bucket.pop_back();
       values.push_back(static_cast<Code>(order[k]));
       if (bucket.empty()) --non_empty;
     }
     buffered -= l;
-    groups.push_back(std::move(group));
-    group_values.push_back(std::move(values));
   }
 }
 
@@ -80,57 +75,53 @@ Status StreamingAnatomizer::Add(RowId row, Code sensitive_value) {
   if (bucket.empty()) ++non_empty_;
   bucket.push_back(row);
   ++buffered_;
-  MaybeEmit(options_.emit_threshold);
+  EmitGroups(static_cast<size_t>(options_.l), options_.emit_threshold, rng_,
+             buckets_, buffered_, non_empty_, drawn_rows_, drawn_values_);
   return Status::OK();
 }
 
-void StreamingAnatomizer::MaybeEmit(size_t emit_threshold) {
-  const size_t before = groups_.size();
-  EmitGroups(static_cast<size_t>(options_.l), emit_threshold, rng_, buckets_,
-             buffered_, non_empty_, groups_, group_values_);
-  for (size_t g = before; g < groups_.size(); ++g) {
-    group_value_sets_.emplace_back(group_values_[g].begin(),
-                                   group_values_[g].end());
-  }
-}
-
-StatusOr<std::unique_ptr<RecordFile>> StreamingAnatomizer::FlushWindow(
-    Disk* disk, BufferPool* pool) {
-  if (finished_) {
-    return Status::FailedPrecondition(
-        "FlushWindow after Finish (use FlushFinal for the delta window)");
-  }
+StatusOr<std::unique_ptr<RecordFile>> StreamingAnatomizer::WriteWindow(
+    Disk* disk, BufferPool* pool,
+    const std::vector<FlushedAmendment>& tail) const {
+  // The window's records in order: every group not yet flushed, its drawn
+  // rows and then the residues Finish placed into it, followed by `tail`.
+  const size_t l = static_cast<size_t>(options_.l);
+  const auto for_each_record = [&](auto&& fn) -> Status {
+    for (size_t g = flushed_groups_; g < emitted_groups(); ++g) {
+      for (size_t i = g * l; i < (g + 1) * l; ++i) {
+        ANATOMY_RETURN_IF_ERROR(
+            fn({static_cast<GroupId>(g), drawn_rows_[i], drawn_values_[i]}));
+      }
+      for (const FlushedAmendment& r : unflushed_residues_) {
+        if (r.group == g) ANATOMY_RETURN_IF_ERROR(fn(r));
+      }
+    }
+    for (const FlushedAmendment& r : tail) ANATOMY_RETURN_IF_ERROR(fn(r));
+    return Status::OK();
+  };
   // The record format is three int32 columns; ids that do not fit are a
   // caller error, never a silent truncation.
-  for (size_t g = flushed_groups_; g < groups_.size(); ++g) {
-    if (g > kInt32Limit) {
-      return Status::InvalidArgument(
-          "group id " + std::to_string(g) + " exceeds the int32 record format");
+  ANATOMY_RETURN_IF_ERROR(for_each_record([](const FlushedAmendment& r) {
+    if (static_cast<size_t>(r.group) <= kInt32Limit &&
+        static_cast<size_t>(r.row) <= kInt32Limit) {
+      return Status::OK();
     }
-    for (RowId row : groups_[g]) {
-      if (static_cast<size_t>(row) > kInt32Limit) {
-        return Status::InvalidArgument("row id " + std::to_string(row) +
-                                       " exceeds the int32 record format");
-      }
-    }
-  }
-  obs::ScopedSpan flush_span("streaming.flush_window", "streaming");
+    return Status::InvalidArgument(
+        "group id " + std::to_string(r.group) + " or row id " +
+        std::to_string(r.row) + " exceeds the int32 record format");
+  }));
   PipelineGuard guard(disk, pool);
   auto file = std::make_unique<RecordFile>(disk, 3);
-  auto write_window = [&]() -> Status {
+  const Status status = [&]() -> Status {
     RecordWriter writer(pool, file.get());
     std::vector<int32_t> rec(3);
-    for (size_t g = flushed_groups_; g < groups_.size(); ++g) {
-      for (size_t k = 0; k < groups_[g].size(); ++k) {
-        rec[0] = static_cast<int32_t>(g);
-        rec[1] = static_cast<int32_t>(groups_[g][k]);
-        rec[2] = group_values_[g][k];
-        ANATOMY_RETURN_IF_ERROR(writer.Append(rec));
-      }
-    }
+    ANATOMY_RETURN_IF_ERROR(for_each_record([&](const FlushedAmendment& r) {
+      rec = {static_cast<int32_t>(r.group), static_cast<int32_t>(r.row),
+             r.value};
+      return writer.Append(rec);
+    }));
     return pool->FlushAll();
-  };
-  const Status status = write_window();
+  }();
   if (!status.ok()) {
     // Reclaim the partial window; the flush cursor stays where it was, so
     // the caller can retry the identical window after the fault clears. The
@@ -139,11 +130,23 @@ StatusOr<std::unique_ptr<RecordFile>> StreamingAnatomizer::FlushWindow(
     guard.Abort();
     return status;
   }
+  return file;
+}
+
+StatusOr<std::unique_ptr<RecordFile>> StreamingAnatomizer::FlushWindow(
+    Disk* disk, BufferPool* pool) {
+  if (finished_) {
+    return Status::FailedPrecondition(
+        "FlushWindow after Finish (use FlushFinal for the delta window)");
+  }
+  obs::ScopedSpan flush_span("streaming.flush_window", "streaming");
+  ANATOMY_ASSIGN_OR_RETURN(std::unique_ptr<RecordFile> file,
+                           WriteWindow(disk, pool, {}));
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.GetCounter("streaming.windows_flushed")->Increment();
   registry.GetCounter("streaming.groups_flushed")
-      ->Increment(groups_.size() - flushed_groups_);
-  flushed_groups_ = groups_.size();
+      ->Increment(emitted_groups() - flushed_groups_);
+  flushed_groups_ = emitted_groups();
   return file;
 }
 
@@ -152,32 +155,26 @@ StatusOr<Partition> StreamingAnatomizer::Finish() {
   obs::ScopedSpan finish_span("streaming.finish", "streaming");
   const size_t l = static_cast<size_t>(options_.l);
 
-  // ---- Plan phase: everything below runs on copies. The members are only
-  // written at the commit point, so a failed Finish leaves the streamer
-  // exactly as it was — same buffered(), same groups, same rng — and the
-  // caller may Add() more tuples and retry.
+  // ---- Plan phase: everything below runs on copies, or appends to the
+  // drawn arrays and truncates them again on failure, so a failed Finish
+  // leaves the streamer exactly as it was — same buffered(), same groups,
+  // same rng — and the caller may Add() more tuples and retry.
   Rng rng = rng_;
   std::vector<std::vector<RowId>> buckets = buckets_;
   size_t buffered = buffered_;
   size_t non_empty = non_empty_;
-  std::vector<std::vector<RowId>> new_groups;
-  std::vector<std::vector<Code>> new_values;
+  const size_t drawn_before = drawn_rows_.size();
 
   // Drain the buffer with the batch rule: the threshold drops to l (any l
   // distinct live values make a group), leaving at most l-1 residues under
   // eligibility.
-  EmitGroups(l, l, rng, buckets, buffered, non_empty, new_groups, new_values);
+  EmitGroups(l, l, rng, buckets, buffered, non_empty, drawn_rows_,
+             drawn_values_);
 
-  const size_t total_groups = groups_.size() + new_groups.size();
+  const size_t total_groups = emitted_groups();
   if (total_groups == 0) {
     return Status::FailedPrecondition(
         "stream ended before any group could be formed");
-  }
-
-  std::vector<std::unordered_set<Code>> value_sets = group_value_sets_;
-  value_sets.reserve(total_groups);
-  for (const auto& values : new_values) {
-    value_sets.emplace_back(values.begin(), values.end());
   }
 
   // Residue placement plan: each leftover tuple joins a group lacking its
@@ -185,28 +182,32 @@ StatusOr<Partition> StreamingAnatomizer::Finish() {
   // checkpointed by FlushWindow stay byte-accurate; only when every unflushed
   // group contains the value does the tuple amend a flushed group, and that
   // amendment is recorded for FlushFinal's delta window. Candidates are
-  // collected in ascending group order so the rng draw sees the same sequence
-  // as the pre-hash-set linear scan — output stays byte-identical for a
-  // fixed seed.
-  struct Placement {
-    size_t group;
-    RowId row;
-    Code value;
-    bool amends_flushed;
-  };
-  std::vector<Placement> placements;
+  // collected in ascending group order, so the rng draw sees the same
+  // sequence as the original linear scan — output stays byte-identical for
+  // a fixed seed. Buckets hold distinct values, so placing a bucket's tuples
+  // only changes membership of that bucket's value.
+  std::vector<FlushedAmendment> unflushed;
+  std::vector<FlushedAmendment> amendments;
+  std::vector<std::pair<GroupId, RowId>> residues;  // (group, row)
+  std::vector<uint8_t> has_value;  // has_value[g]: group g holds the value
+  std::vector<size_t> candidates;
   size_t stranded = 0;
   for (size_t b = 0; b < buckets.size(); ++b) {
+    if (buckets[b].empty()) continue;
     const Code value = static_cast<Code>(b);
+    has_value.assign(total_groups, 0);
+    for (size_t i = 0; i < drawn_values_.size(); ++i) {
+      if (drawn_values_[i] == value) has_value[i / l] = 1;
+    }
     for (RowId row : buckets[b]) {
-      std::vector<size_t> candidates;
+      candidates.clear();
       for (size_t g = flushed_groups_; g < total_groups; ++g) {
-        if (!value_sets[g].contains(value)) candidates.push_back(g);
+        if (has_value[g] == 0) candidates.push_back(g);
       }
       bool amends_flushed = false;
       if (candidates.empty() && options_.allow_flushed_amendments) {
         for (size_t g = 0; g < flushed_groups_; ++g) {
-          if (!value_sets[g].contains(value)) candidates.push_back(g);
+          if (has_value[g] == 0) candidates.push_back(g);
         }
         amends_flushed = !candidates.empty();
       }
@@ -216,12 +217,16 @@ StatusOr<Partition> StreamingAnatomizer::Finish() {
         ++stranded;
         continue;
       }
-      const size_t g = candidates[rng.NextBounded(candidates.size())];
-      value_sets[g].insert(value);
-      placements.push_back({g, row, value, amends_flushed});
+      const GroupId g = static_cast<GroupId>(
+          candidates[rng.NextBounded(candidates.size())]);
+      has_value[g] = 1;
+      (amends_flushed ? amendments : unflushed).push_back({g, row, value});
+      residues.push_back({g, row});
     }
   }
   if (stranded > 0) {
+    drawn_rows_.resize(drawn_before);
+    drawn_values_.resize(drawn_before);
     return Status::FailedPrecondition(
         "stream tail not absorbable: " + std::to_string(stranded) + " of " +
         std::to_string(buffered) +
@@ -235,21 +240,8 @@ StatusOr<Partition> StreamingAnatomizer::Finish() {
 
   // ---- Commit phase: nothing below can fail. ----
   rng_ = rng;
-  for (size_t i = 0; i < new_groups.size(); ++i) {
-    group_value_sets_.emplace_back(new_values[i].begin(), new_values[i].end());
-    groups_.push_back(std::move(new_groups[i]));
-    group_values_.push_back(std::move(new_values[i]));
-  }
-  flushed_amendments_.clear();
-  for (const Placement& p : placements) {
-    groups_[p.group].push_back(p.row);
-    group_values_[p.group].push_back(p.value);
-    group_value_sets_[p.group].insert(p.value);
-    if (p.amends_flushed) {
-      flushed_amendments_.push_back(
-          {static_cast<GroupId>(p.group), p.row, p.value});
-    }
-  }
+  unflushed_residues_ = std::move(unflushed);
+  flushed_amendments_ = std::move(amendments);
   for (auto& bucket : buckets_) bucket.clear();
   buffered_ = 0;
   non_empty_ = 0;
@@ -259,10 +251,7 @@ StatusOr<Partition> StreamingAnatomizer::Finish() {
   registry.GetCounter("streaming.finishes")->Increment();
   registry.GetCounter("streaming.flushed_amendments")
       ->Increment(flushed_amendments_.size());
-
-  Partition partition;
-  partition.groups = groups_;
-  return partition;
+  return PartitionWithResidues(drawn_rows_, l, residues);
 }
 
 StatusOr<std::unique_ptr<RecordFile>> StreamingAnatomizer::FlushFinal(
@@ -270,61 +259,15 @@ StatusOr<std::unique_ptr<RecordFile>> StreamingAnatomizer::FlushFinal(
   if (!finished_) {
     return Status::FailedPrecondition("FlushFinal before successful Finish");
   }
-  for (size_t g = flushed_groups_; g < groups_.size(); ++g) {
-    if (g > kInt32Limit) {
-      return Status::InvalidArgument(
-          "group id " + std::to_string(g) + " exceeds the int32 record format");
-    }
-    for (RowId row : groups_[g]) {
-      if (static_cast<size_t>(row) > kInt32Limit) {
-        return Status::InvalidArgument("row id " + std::to_string(row) +
-                                       " exceeds the int32 record format");
-      }
-    }
-  }
-  for (const FlushedAmendment& a : flushed_amendments_) {
-    if (static_cast<size_t>(a.group) > kInt32Limit ||
-        static_cast<size_t>(a.row) > kInt32Limit) {
-      return Status::InvalidArgument(
-          "amendment ids exceed the int32 record format");
-    }
-  }
   obs::ScopedSpan final_span("streaming.flush_final", "streaming");
-  PipelineGuard guard(disk, pool);
-  auto file = std::make_unique<RecordFile>(disk, 3);
-  auto write_final = [&]() -> Status {
-    RecordWriter writer(pool, file.get());
-    std::vector<int32_t> rec(3);
-    // Groups never covered by a FlushWindow checkpoint, in full (including
-    // residues Finish placed into them)...
-    for (size_t g = flushed_groups_; g < groups_.size(); ++g) {
-      for (size_t k = 0; k < groups_[g].size(); ++k) {
-        rec[0] = static_cast<int32_t>(g);
-        rec[1] = static_cast<int32_t>(groups_[g][k]);
-        rec[2] = group_values_[g][k];
-        ANATOMY_RETURN_IF_ERROR(writer.Append(rec));
-      }
-    }
-    // ...then the amendment records for flushed groups: replaying every
-    // FlushWindow file plus this one reconstructs the partition Finish
-    // returned, record for record.
-    for (const FlushedAmendment& a : flushed_amendments_) {
-      rec[0] = static_cast<int32_t>(a.group);
-      rec[1] = static_cast<int32_t>(a.row);
-      rec[2] = a.value;
-      ANATOMY_RETURN_IF_ERROR(writer.Append(rec));
-    }
-    return pool->FlushAll();
-  };
-  const Status status = write_final();
-  if (!status.ok()) {
-    // Same retry contract as FlushWindow: reclaim the partial file and leave
-    // the streamer untouched so the identical delta can be re-flushed.
-    guard.Abort();
-    return status;
-  }
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  registry.GetCounter("streaming.final_flushes")->Increment();
+  // The amendment records for flushed groups go last: replaying every
+  // FlushWindow file plus this one reconstructs the partition Finish
+  // returned, record for record.
+  ANATOMY_ASSIGN_OR_RETURN(std::unique_ptr<RecordFile> file,
+                           WriteWindow(disk, pool, flushed_amendments_));
+  obs::MetricRegistry::Global()
+      .GetCounter("streaming.final_flushes")
+      ->Increment();
   return file;
 }
 

@@ -31,7 +31,6 @@
 #define ANATOMY_ANATOMY_STREAMING_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "anatomy/partition.h"
@@ -80,7 +79,9 @@ class StreamingAnatomizer {
 
   /// Groups fully formed so far (each of exactly l tuples with distinct
   /// sensitive values). Indices are stable; more groups only get appended.
-  size_t emitted_groups() const { return groups_.size(); }
+  size_t emitted_groups() const {
+    return drawn_rows_.size() / static_cast<size_t>(options_.l);
+  }
 
   /// Tuples still buffered (not yet part of any group).
   size_t buffered() const { return buffered_; }
@@ -125,18 +126,24 @@ class StreamingAnatomizer {
                                                    BufferPool* pool);
 
  private:
-  void MaybeEmit(size_t emit_threshold);
+  /// Writes every group not yet flushed, with the residues Finish placed
+  /// into it, then `tail`, as [group_id, row_id, sensitive] records into a
+  /// fresh file. On failure the file is reclaimed and nothing else changes.
+  StatusOr<std::unique_ptr<RecordFile>> WriteWindow(
+      Disk* disk, BufferPool* pool,
+      const std::vector<FlushedAmendment>& tail) const;
 
   StreamingAnatomizerOptions options_;
   Rng rng_;
   std::vector<std::vector<RowId>> buckets_;  // per sensitive code
   size_t buffered_ = 0;
   size_t non_empty_ = 0;
-  std::vector<std::vector<RowId>> groups_;
-  std::vector<std::vector<Code>> group_values_;
-  /// Hash-set mirror of group_values_ so residue placement tests membership
-  /// in O(1) instead of scanning (the same fix PR 1 applied to Anatomizer).
-  std::vector<std::unordered_set<Code>> group_value_sets_;
+  /// The emitted groups' rows and sensitive values, flat: group g's are
+  /// drawn_rows_[g * l, (g + 1) * l) and the same range of drawn_values_.
+  std::vector<RowId> drawn_rows_;
+  std::vector<Code> drawn_values_;
+  /// Finish's residue placements into unflushed groups, in placement order.
+  std::vector<FlushedAmendment> unflushed_residues_;
   std::vector<FlushedAmendment> flushed_amendments_;
   size_t flushed_groups_ = 0;
   bool finished_ = false;

@@ -196,8 +196,7 @@ StatusOr<EpochPublishReport> DistCluster::PublishEpoch(
     next.nodes[i].prev_root = record_.nodes[i].root;
     if (i < pub.manifests.size()) {
       next.nodes[i].root = pub.manifests[i].root;
-      next.nodes[i].group_count =
-          static_cast<GroupId>(pub.shard_partitions[i].num_groups());
+      next.nodes[i].group_count = pub.shard_groups[i];
       next.nodes[i].rows = pub.manifests[i].qit.records;
       next.total_rows += next.nodes[i].rows;
     }
@@ -394,18 +393,9 @@ StatusOr<AnatomizedTables> DistCluster::BuildMergedTables() {
   }
 
   const size_t d = qi_defs_.size();
-  const AttributeDef group_def = MakeNumerical(
-      "Group-ID", static_cast<Code>(total_groups), /*base=*/1);
-  std::vector<AttributeDef> qit_defs = qi_defs_;
-  qit_defs.push_back(group_def);
-  Table qit(std::make_shared<Schema>(std::move(qit_defs)));
+  Table qit(QitSchema(qi_defs_, total_groups));
   qit.Reserve(static_cast<RowId>(record_.total_rows));
-  std::vector<AttributeDef> st_defs;
-  st_defs.push_back(group_def);
-  st_defs.push_back(sensitive_def_);
-  st_defs.push_back(MakeNumerical(
-      "Count", static_cast<Code>(record_.total_rows) + 1));
-  Table st(std::make_shared<Schema>(std::move(st_defs)));
+  Table st(StSchema(sensitive_def_, total_groups, record_.total_rows));
 
   // Concatenate in node order: per-group row order is each node's published
   // group-major order, the same order the node's own engine serves — the

@@ -23,20 +23,10 @@ Status DistNode::Activate(const StorageManifest& manifest, uint64_t epoch,
   // dense, exactly what FromPublishedTables validates; Serve() adds the
   // epoch's offset when answering.
   const RetryPolicy& retry = pool_.retry_policy();
-  const AttributeDef group_def = MakeNumerical(
-      "Group-ID", static_cast<Code>(group_count), /*base=*/1);
-  std::vector<AttributeDef> qit_defs = qi_defs;
-  qit_defs.push_back(group_def);
-  Table qit(std::make_shared<Schema>(std::move(qit_defs)));
+  Table qit(QitSchema(qi_defs, group_count));
   ANATOMY_RETURN_IF_ERROR(AppendPublishedFile(
       &faults_, manifest.qit, retry, qi_defs.size(), /*gid_offset=*/0, qit));
-
-  std::vector<AttributeDef> st_defs;
-  st_defs.push_back(group_def);
-  st_defs.push_back(sensitive_def);
-  st_defs.push_back(MakeNumerical(
-      "Count", static_cast<Code>(manifest.qit.records) + 1));
-  Table st(std::make_shared<Schema>(std::move(st_defs)));
+  Table st(StSchema(sensitive_def, group_count, manifest.qit.records));
   ANATOMY_RETURN_IF_ERROR(AppendPublishedFile(&faults_, manifest.st, retry,
                                               /*gid_field=*/0,
                                               /*gid_offset=*/0, st));

@@ -169,15 +169,15 @@ class ExternalMondrianDriver {
     ANATOMY_ASSIGN_OR_RETURN(
         Partition sub, mondrian_.PartitionRows(microdata_, taxonomies_,
                                                std::move(rows)));
-    for (auto& group : sub.groups) {
-      ANATOMY_RETURN_IF_ERROR(EmitGroup(group));
-      partition->groups.push_back(std::move(group));
+    for (GroupId g = 0; g < sub.num_groups(); ++g) {
+      ANATOMY_RETURN_IF_ERROR(EmitGroup(sub.group(g)));
+      partition->AddGroup(sub.group(g));
     }
     return Status::OK();
   }
 
   /// Publishes one group: per-tuple interval-coded records.
-  Status EmitGroup(const std::vector<RowId>& group) {
+  Status EmitGroup(std::span<const RowId> group) {
     std::vector<CodeInterval> extents(d_);
     for (size_t i = 0; i < d_; ++i) {
       Code lo = microdata_.qi_value(group[0], i);
@@ -228,7 +228,7 @@ class ExternalMondrianDriver {
       ANATOMY_RETURN_IF_ERROR(output_writer_.Append(out_rec));
     }
     ANATOMY_RETURN_IF_ERROR(file->FreeAll(pool_));
-    partition->groups.push_back(std::move(group));
+    partition->AddGroup(group);
     return Status::OK();
   }
 

@@ -69,35 +69,27 @@ StatusOr<FullDomainResult> FullDomainGeneralizer::Compute(
 
     // Datafly-style accounting: classes violating l-diversity are candidates
     // for suppression.
+    const auto violates = [&](const std::vector<RowId>& rows) {
+      return GroupDiversity(GroupSensitiveHistogram(microdata, rows),
+                            rows.size()) < static_cast<uint64_t>(options_.l);
+    };
     uint64_t violating_rows = 0;
     for (const auto& [k, rows] : classes) {
-      const auto hist = GroupSensitiveHistogram(microdata, rows);
-      uint32_t max_count = 0;
-      for (const auto& [value, count] : hist) {
-        max_count = std::max(max_count, count);
-      }
-      if (static_cast<uint64_t>(max_count) * options_.l > rows.size()) {
-        violating_rows += rows.size();
-      }
+      if (violates(rows)) violating_rows += rows.size();
     }
 
     if (violating_rows <= budget) {
-      result.partition.groups.clear();
+      result.partition = Partition();
       result.suppressed.clear();
-      for (auto& [k, rows] : classes) {
-        const auto hist = GroupSensitiveHistogram(microdata, rows);
-        uint32_t max_count = 0;
-        for (const auto& [value, count] : hist) {
-          max_count = std::max(max_count, count);
-        }
-        if (static_cast<uint64_t>(max_count) * options_.l > rows.size()) {
+      for (const auto& [k, rows] : classes) {
+        if (violates(rows)) {
           result.suppressed.insert(result.suppressed.end(), rows.begin(),
                                    rows.end());
         } else {
-          result.partition.groups.push_back(std::move(rows));
+          result.partition.AddGroup(rows);
         }
       }
-      if (result.partition.groups.empty()) {
+      if (result.partition.num_groups() == 0) {
         return Status::FailedPrecondition(
             "every equivalence class violates l-diversity even at the top "
             "of the hierarchy; the table is not l-eligible");
@@ -162,11 +154,11 @@ StatusOr<FullDomainPublication> BuildFullDomainPublication(
 
   Partition renumbered;
   std::vector<std::vector<CodeInterval>> cells;
-  renumbered.groups.reserve(result.partition.num_groups());
   cells.reserve(result.partition.num_groups());
-  for (const auto& group : result.partition.groups) {
-    std::vector<RowId> rows;
-    rows.reserve(group.size());
+  std::vector<RowId> rows;
+  for (GroupId g = 0; g < result.partition.num_groups(); ++g) {
+    const std::span<const RowId> group = result.partition.group(g);
+    rows.clear();
     for (RowId r : group) rows.push_back(new_index[r]);
     // The published cell is the level interval of any member (identical for
     // all by construction of the equivalence classes).
@@ -176,7 +168,7 @@ StatusOr<FullDomainPublication> BuildFullDomainPublication(
           taxonomies.at(microdata.qi_columns[i]), microdata.qi_value(group[0], i),
           result.levels[i]);
     }
-    renumbered.groups.push_back(std::move(rows));
+    renumbered.AddGroup(rows);
     cells.push_back(std::move(cell));
   }
   ANATOMY_ASSIGN_OR_RETURN(

@@ -33,7 +33,7 @@ StatusOr<GeneralizedTable> GeneralizedTable::Build(
   out.groups_.resize(partition.num_groups());
 
   for (GroupId g = 0; g < partition.num_groups(); ++g) {
-    const auto& rows = partition.groups[g];
+    const std::span<const RowId> rows = partition.group(g);
     GeneralizedGroup& group = out.groups_[g];
     group.size = static_cast<uint32_t>(rows.size());
     group.extents.resize(d);
@@ -75,8 +75,8 @@ StatusOr<GeneralizedTable> GeneralizedTable::FromCells(
     }
     GeneralizedGroup& group = out.groups_[g];
     group.extents = cells[g];
-    group.size = static_cast<uint32_t>(partition.groups[g].size());
-    for (RowId r : partition.groups[g]) {
+    group.size = static_cast<uint32_t>(partition.group(g).size());
+    for (RowId r : partition.group(g)) {
       for (size_t i = 0; i < d; ++i) {
         if (!cells[g][i].Contains(microdata.qi_value(r, i))) {
           return Status::InvalidArgument(
@@ -85,7 +85,7 @@ StatusOr<GeneralizedTable> GeneralizedTable::FromCells(
         }
       }
     }
-    group.histogram = GroupSensitiveHistogram(microdata, partition.groups[g]);
+    group.histogram = GroupSensitiveHistogram(microdata, partition.group(g));
   }
   return out;
 }

@@ -92,7 +92,7 @@ class MondrianContext {
   void Recurse(std::vector<RowId> rows, Partition* out) {
     std::optional<MondrianSplit> split = FindSplit(rows);
     if (!split.has_value()) {
-      out->groups.push_back(std::move(rows));
+      out->AddGroup(rows);
       return;
     }
     std::vector<RowId> left;

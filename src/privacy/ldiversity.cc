@@ -38,7 +38,8 @@ Status VerifyRecursiveClDiversity(const AnatomizedTables& tables, double c,
   if (l < 2) return Status::InvalidArgument("l must be >= 2");
   if (c <= 0) return Status::InvalidArgument("c must be positive");
   for (GroupId g = 0; g < tables.num_groups(); ++g) {
-    if (!GroupIsRecursiveClDiverse(tables.group_histogram(g), c, l)) {
+    const GroupHistogram hist = tables.group_histogram(g);
+    if (!GroupIsRecursiveClDiverse({hist.begin(), hist.end()}, c, l)) {
       return Status::FailedPrecondition(
           "group " + std::to_string(g + 1) +
           " is not recursively (c, l)-diverse");
@@ -65,7 +66,8 @@ bool GroupIsEntropyLDiverse(
 Status VerifyEntropyLDiversity(const AnatomizedTables& tables, double l) {
   if (l < 1) return Status::InvalidArgument("l must be >= 1");
   for (GroupId g = 0; g < tables.num_groups(); ++g) {
-    if (!GroupIsEntropyLDiverse(tables.group_histogram(g), l)) {
+    const GroupHistogram hist = tables.group_histogram(g);
+    if (!GroupIsEntropyLDiverse({hist.begin(), hist.end()}, l)) {
       return Status::FailedPrecondition(
           "group " + std::to_string(g + 1) + " is not entropy " +
           std::to_string(l) + "-diverse");

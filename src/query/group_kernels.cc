@@ -156,9 +156,10 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
   class_slot_ = Carve<uint32_t>(block_, layout.class_slot);
   prefix_mass_ = Carve<uint32_t>(block_, layout.prefix_mass);
 
-  // Group-clustered layout: counting-sort the rows by Group-ID. Rows of a
-  // group keep their relative order, so within a group the permuted order
-  // is the QIT order.
+  // Group-clustered layout, the one place the row order is derived:
+  // counting-sort the rows by the QIT's Group-ID column. Rows of a group
+  // keep their relative order, so within a group the permuted order is the
+  // QIT order.
   group_start_[0] = 0;
   for (GroupId g = 0; g < m; ++g) {
     group_start_[g + 1] = group_start_[g] + tables.group_size(g);
@@ -166,9 +167,8 @@ AnatomyQueryEngine::AnatomyQueryEngine(const AnatomizedTables& tables,
   ANATOMY_CHECK(group_start_[m] == n);
   std::vector<RowId> perm(n);
   std::vector<RowId> cursor(group_start_.begin(), group_start_.end() - 1);
-  for (RowId r = 0; r < n; ++r) {
-    perm[cursor[tables.group_of_row(r)]++] = r;
-  }
+  const std::vector<Code>& group_ids = qit.column(d);
+  for (RowId r = 0; r < n; ++r) perm[cursor[group_ids[r]]++] = r;
   qit_index_ = std::make_unique<BitmapIndex>(qit, columns, &perm);
 
   std::fill(block_group_.begin(), block_group_.end(), m);

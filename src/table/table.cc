@@ -12,6 +12,20 @@ Table::Table(SchemaPtr schema) : schema_(std::move(schema)) {
   columns_.resize(schema_->num_attributes());
 }
 
+Table::Table(SchemaPtr schema, std::vector<std::vector<Code>> columns)
+    : schema_(std::move(schema)), columns_(std::move(columns)) {
+  ANATOMY_CHECK(schema_ != nullptr &&
+                columns_.size() == schema_->num_attributes());
+  num_rows_ = columns_.empty() ? 0 : static_cast<RowId>(columns_[0].size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    ANATOMY_CHECK(columns_[c].size() == num_rows_);
+    for (const Code v : columns_[c]) {
+      ANATOMY_CHECK_MSG(schema_->CodeInDomain(c, v),
+                        schema_->attribute(c).name.c_str());
+    }
+  }
+}
+
 void Table::AppendRow(std::span<const Code> row) {
   ANATOMY_CHECK(row.size() == columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {

@@ -25,6 +25,9 @@ class Table {
  public:
   Table() = default;
   explicit Table(SchemaPtr schema);
+  /// A table over `columns`, one code vector per attribute, all of one
+  /// length. Codes are CHECKed like AppendRow's.
+  Table(SchemaPtr schema, std::vector<std::vector<Code>> columns);
 
   const Schema& schema() const { return *schema_; }
   const SchemaPtr& schema_ptr() const { return schema_; }

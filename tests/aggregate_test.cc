@@ -16,14 +16,14 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
 using testing_util::RangePredicate;
 
 constexpr Code kFlu = 2;
 constexpr Code kPneumonia = 4;
 
 Partition PaperPartition() {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   return p;
 }
 
@@ -107,7 +107,7 @@ TEST(AnatomyAggregateTest, FullSensitivePredicateSumIsExact) {
 TEST(GeneralizationAggregateTest, SingletonGroupsAreExact) {
   const Microdata md = HospitalExample();
   Partition singletons;
-  for (RowId r = 0; r < md.n(); ++r) singletons.groups.push_back({r});
+  for (RowId r = 0; r < md.n(); ++r) singletons.AddGroup({&r, 1});
   auto table = GeneralizedTable::Build(md, singletons,
                                        TaxonomySet::AllFree(md.table.schema()));
   ASSERT_TRUE(table.ok());
@@ -122,8 +122,7 @@ TEST(GeneralizationAggregateTest, SingletonGroupsAreExact) {
 TEST(GeneralizationAggregateTest, UnconstrainedMeasureUsesCellMidpoint) {
   // One group, cell Age [23, 59]: the smeared mean age is (23 + 59) / 2.
   const Microdata md = HospitalExample();
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   auto table =
       GeneralizedTable::Build(md, p, TaxonomySet::AllFree(md.table.schema()));
   ASSERT_TRUE(table.ok());

@@ -12,13 +12,13 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
 using testing_util::MakeRoundRobinMicrodata;
 
 /// The paper's grouping of Table 1 (tuples 1-4 and 5-8, 0-based here),
 /// which produces exactly Tables 3a/3b.
 Partition PaperPartition() {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   return p;
 }
 
@@ -63,8 +63,7 @@ TEST(AnatomizedTablesTest, ReproducesTable3) {
 
 TEST(AnatomizedTablesTest, RejectsBadPartition) {
   const Microdata md = HospitalExample();
-  Partition bad;
-  bad.groups = {{0, 1}};  // does not cover the table
+  Partition bad = MakePartition({{0, 1}});  // does not cover the table
   EXPECT_FALSE(AnatomizedTables::Build(md, bad).ok());
 }
 

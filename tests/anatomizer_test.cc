@@ -12,37 +12,32 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
 using testing_util::MakeRoundRobinMicrodata;
 using testing_util::MakeSimpleMicrodata;
 
 // ----------------------------------------------------------- Partition --
 
 TEST(PartitionTest, ValidateCoverCatchesDefects) {
-  Partition p;
-  p.groups = {{0, 1}, {2}};
+  Partition p = MakePartition({{0, 1}, {2}});
   EXPECT_TRUE(p.ValidateCover(3).ok());
   EXPECT_EQ(p.TotalRows(), 3u);
 
-  Partition missing;
-  missing.groups = {{0, 2}};
+  Partition missing = MakePartition({{0, 2}});
   EXPECT_FALSE(missing.ValidateCover(3).ok());
 
-  Partition duplicated;
-  duplicated.groups = {{0, 1}, {1, 2}};
+  Partition duplicated = MakePartition({{0, 1}, {1, 2}});
   EXPECT_FALSE(duplicated.ValidateCover(3).ok());
 
-  Partition empty_group;
-  empty_group.groups = {{0, 1, 2}, {}};
+  Partition empty_group = MakePartition({{0, 1, 2}, {}});
   EXPECT_FALSE(empty_group.ValidateCover(3).ok());
 
-  Partition out_of_range;
-  out_of_range.groups = {{0, 5}};
+  Partition out_of_range = MakePartition({{0, 5}});
   EXPECT_FALSE(out_of_range.ValidateCover(3).ok());
 }
 
 TEST(PartitionTest, GroupOfRowInverse) {
-  Partition p;
-  p.groups = {{2, 0}, {1, 3}};
+  Partition p = MakePartition({{2, 0}, {1, 3}});
   auto owner = p.GroupOfRow(4);
   EXPECT_EQ(owner[0], 0u);
   EXPECT_EQ(owner[1], 1u);
@@ -54,22 +49,20 @@ TEST(PartitionTest, LDiversityCheck) {
   // Values: rows 0,1 carry 5; rows 2,3 carry 6.
   Microdata md = MakeSimpleMicrodata({{0, 5}, {1, 5}, {2, 6}, {3, 6}});
   // Grouping by value: each group is pure -> only 1-diverse.
-  Partition p;
-  p.groups = {{0, 1}, {2, 3}};
+  Partition p = MakePartition({{0, 1}, {2, 3}});
   EXPECT_TRUE(p.ValidateLDiverse(md, 1).ok());
   EXPECT_FALSE(p.ValidateLDiverse(md, 2).ok());
   EXPECT_EQ(p.MaxDiversity(md), 1);
 
   // Mixing values: 2-diverse.
-  Partition q;
-  q.groups = {{0, 2}, {1, 3}};
+  Partition q = MakePartition({{0, 2}, {1, 3}});
   EXPECT_TRUE(q.ValidateLDiverse(md, 2).ok());
   EXPECT_EQ(q.MaxDiversity(md), 2);
 }
 
 TEST(PartitionTest, GroupSensitiveHistogramSortedAndComplete) {
   Microdata md = MakeSimpleMicrodata({{0, 7}, {1, 3}, {2, 7}, {3, 7}});
-  auto hist = GroupSensitiveHistogram(md, {0, 1, 2, 3});
+  auto hist = GroupSensitiveHistogram(md, std::vector<RowId>{0, 1, 2, 3});
   ASSERT_EQ(hist.size(), 2u);
   EXPECT_EQ(hist[0], (std::pair<Code, uint32_t>{3, 1}));
   EXPECT_EQ(hist[1], (std::pair<Code, uint32_t>{7, 3}));
@@ -105,7 +98,9 @@ TEST(AnatomizerTest, HospitalExampleTwoDiverse) {
   const Partition& p = partition.value();
   // n = 8, l = 2: exactly 4 groups of 2, no residue.
   EXPECT_EQ(p.num_groups(), 4u);
-  for (const auto& g : p.groups) EXPECT_EQ(g.size(), 2u);
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    EXPECT_EQ(p.group(g).size(), 2u);
+  }
   EXPECT_TRUE(p.ValidateCover(8).ok());
   EXPECT_TRUE(p.ValidateLDiverse(md, 2).ok());
 }
@@ -131,7 +126,7 @@ TEST(AnatomizerTest, DeterministicInSeed) {
   auto b = anatomizer.ComputePartition(md);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().groups, b.value().groups);
+  EXPECT_EQ(a.value(), b.value());
 }
 
 TEST(AnatomizerTest, SeedsProduceDifferentDraws) {
@@ -140,7 +135,7 @@ TEST(AnatomizerTest, SeedsProduceDifferentDraws) {
   auto b = Anatomizer(AnatomizerOptions{.l = 4, .seed = 2}).ComputePartition(md);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value().groups, b.value().groups);
+  EXPECT_NE(a.value(), b.value());
 }
 
 // Figure 3's guarantees, swept over l and skew (TEST_P property suite).
@@ -194,7 +189,8 @@ TEST_P(AnatomizePropertyTest, Figure3Guarantees) {
   EXPECT_EQ(p.num_groups(), md.n() / c.l);
 
   size_t oversized = 0;
-  for (const auto& group : p.groups) {
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    const std::span<const RowId> group = p.group(g);
     // Property 3: at least l tuples, all with distinct sensitive values.
     EXPECT_GE(group.size(), static_cast<size_t>(c.l));
     std::set<Code> values;
@@ -320,12 +316,13 @@ TEST(AnatomizerTest, ResidueAssignmentDeterministicAndDiverse) {
   auto second = anatomizer.ComputePartition(md);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value().groups, second.value().groups);
+  EXPECT_EQ(first.value(), second.value());
   EXPECT_TRUE(first.value().ValidateCover(md.n()).ok());
   EXPECT_TRUE(first.value().ValidateLDiverse(md, l).ok());
   // Residues landed in groups free of their value: every group holds
   // pairwise-distinct sensitive values (the strong form of Property 2).
-  for (const auto& group : first.value().groups) {
+  for (GroupId g = 0; g < first.value().num_groups(); ++g) {
+    const std::span<const RowId> group = first.value().group(g);
     std::set<Code> values;
     for (RowId r : group) values.insert(md.sensitive_value(r));
     EXPECT_EQ(values.size(), group.size());

@@ -20,6 +20,8 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
+
 namespace fs = std::filesystem;
 
 // -------------------------------------------------------------- schema IO --
@@ -175,8 +177,7 @@ TEST_F(BundleTest, WriteReadRoundTrip) {
 
 TEST_F(BundleTest, RefusesToWriteOverclaimedDiversity) {
   const Microdata md = HospitalExample();
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};  // 2-diverse only
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});  // 2-diverse only
   auto tables = AnatomizedTables::Build(md, p);
   ASSERT_TRUE(tables.ok());
   EXPECT_FALSE(WritePublicationBundle(tables.value(), 3, dir_.string()).ok());
@@ -185,8 +186,7 @@ TEST_F(BundleTest, RefusesToWriteOverclaimedDiversity) {
 
 TEST_F(BundleTest, DetectsTampering) {
   const Microdata md = HospitalExample();
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   auto tables = AnatomizedTables::Build(md, p);
   ASSERT_TRUE(tables.ok());
   ASSERT_TRUE(WritePublicationBundle(tables.value(), 2, dir_.string()).ok());
@@ -296,8 +296,7 @@ TEST_F(ParserTest, RejectsMalformedQueries) {
 }
 
 TEST_F(ParserTest, FromPublicationSchemaWorks) {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   auto tables = AnatomizedTables::Build(md_, p);
   ASSERT_TRUE(tables.ok());
   const QuerySchema pub_schema = QuerySchema::FromPublication(tables.value());

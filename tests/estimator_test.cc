@@ -16,13 +16,13 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
 using testing_util::RangePredicate;
 
 constexpr Code kPneumonia = 4;
 
 Partition PaperPartition() {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   return p;
 }
 
@@ -139,7 +139,7 @@ TEST(GeneralizationEstimatorTest, SingletonGroupsAreExact) {
   // evaluation.
   const Microdata md = HospitalExample();
   Partition singletons;
-  for (RowId r = 0; r < md.n(); ++r) singletons.groups.push_back({r});
+  for (RowId r = 0; r < md.n(); ++r) singletons.AddGroup({&r, 1});
   auto table = GeneralizedTable::Build(md, singletons,
                                        TaxonomySet::AllFree(md.table.schema()));
   ASSERT_TRUE(table.ok());

@@ -42,7 +42,8 @@ TEST(ExternalAnatomizerTest, ProducesSamePropertiesAsInMemory) {
   EXPECT_TRUE(p.ValidateCover(md.n()).ok());
   EXPECT_TRUE(p.ValidateLDiverse(md, 10).ok());
   EXPECT_EQ(p.num_groups(), md.n() / 10);
-  for (const auto& group : p.groups) {
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    const std::span<const RowId> group = p.group(g);
     std::set<Code> values;
     for (RowId r : group) values.insert(md.sensitive_value(r));
     EXPECT_EQ(values.size(), group.size());  // Property 3

@@ -331,7 +331,7 @@ TEST(FaultSweepTest, EverySweepRunSucceedsIdenticallyOrFailsCleanly) {
       if (result.ok()) {
         ++successes;
         // Success must be bit-identical to the fault-free run.
-        EXPECT_EQ(result.value().partition.groups, baseline.partition.groups);
+        EXPECT_EQ(result.value().partition, baseline.partition);
         auto qit = ReadPublishedRecords(&disk, result.value().manifest.qit);
         auto st = ReadPublishedRecords(&disk, result.value().manifest.st);
         ASSERT_TRUE(qit.ok()) << qit.status().ToString();
@@ -418,7 +418,7 @@ TEST(FaultSweepTest, CrashLeavesNoHalfPublication) {
     disk.Heal();
     auto retried = anatomizer.RunPublished(md, &disk, &pool);
     ASSERT_TRUE(retried.ok()) << retried.status().ToString();
-    EXPECT_EQ(retried.value().partition.groups, baseline.partition.groups);
+    EXPECT_EQ(retried.value().partition, baseline.partition);
     auto qit = ReadPublishedRecords(&disk, retried.value().manifest.qit);
     ASSERT_TRUE(qit.ok());
     EXPECT_EQ(qit.value(), baseline.qit);
@@ -462,7 +462,7 @@ TEST(FaultSweepTest, ExternalMondrianFailsCleanlyUnderFaults) {
     ExternalMondrian mondrian(MondrianOptions{4});
     auto result = mondrian.Run(md, taxonomies, &disk, &pool);
     if (result.ok()) {
-      EXPECT_EQ(result.value().partition.groups, reference.groups);
+      EXPECT_EQ(result.value().partition, reference);
     }
     EXPECT_EQ(base.live_pages(), 0u);
     EXPECT_EQ(pool.pinned_frames(), 0u);

@@ -98,7 +98,8 @@ TEST(FullDomainTest, SuppressionWithinBudget) {
   EXPECT_LE(value.SuppressionRate(md.n()), 0.05);
   // Kept rows + suppressed rows = all rows, disjoint.
   std::set<RowId> seen(value.suppressed.begin(), value.suppressed.end());
-  for (const auto& group : value.partition.groups) {
+  for (GroupId g = 0; g < value.partition.num_groups(); ++g) {
+    const std::span<const RowId> group = value.partition.group(g);
     for (RowId r : group) EXPECT_TRUE(seen.insert(r).second);
   }
   EXPECT_EQ(seen.size(), md.n());

@@ -17,9 +17,10 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
+
 Partition PaperPartition() {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   return p;
 }
 

@@ -16,6 +16,7 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
 using testing_util::MakeRoundRobinMicrodata;
 using testing_util::MakeSimpleMicrodata;
 
@@ -120,7 +121,8 @@ TEST_P(MondrianPropertyTest, PartitionIsLDiverseAndFine) {
   const Partition& p = result.value();
   EXPECT_TRUE(p.ValidateCover(md.n()).ok());
   EXPECT_TRUE(p.ValidateLDiverse(md, l).ok());
-  for (const auto& group : p.groups) {
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    const std::span<const RowId> group = p.group(g);
     EXPECT_GE(group.size(), static_cast<size_t>(l));
   }
   // The recursion should split eligible data well past one group.
@@ -190,8 +192,7 @@ TEST(MondrianTest, TaxonomyConstrainedEndpointsLieOnNodes) {
 
 TEST(GeneralizedTableTest, PaperTableTwoShape) {
   const Microdata md = HospitalExample();
-  Partition paper;
-  paper.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition paper = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   auto table = GeneralizedTable::Build(md, paper,
                                        TaxonomySet::AllFree(md.table.schema()));
   ASSERT_TRUE(table.ok());
@@ -208,8 +209,7 @@ TEST(GeneralizedTableTest, PaperTableTwoShape) {
 
 TEST(GeneralizedTableTest, RequiresTaxonomyPerQi) {
   const Microdata md = HospitalExample();
-  Partition p;
-  p.groups = {{0, 1, 2, 3, 4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3, 4, 5, 6, 7}});
   TaxonomySet too_few;
   too_few.Add(Taxonomy::Free(100));
   EXPECT_FALSE(GeneralizedTable::Build(md, p, too_few).ok());
@@ -219,8 +219,7 @@ TEST(GeneralizedTableTest, RequiresTaxonomyPerQi) {
 
 TEST(InfoLossTest, GeneralizedRceFormula) {
   const Microdata md = HospitalExample();
-  Partition paper;
-  paper.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition paper = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   auto table = GeneralizedTable::Build(md, paper,
                                        TaxonomySet::AllFree(md.table.schema()));
   ASSERT_TRUE(table.ok());
@@ -238,8 +237,7 @@ TEST(InfoLossTest, GeneralizedRceFormula) {
 
 TEST(InfoLossTest, SingletonGroupsHaveZeroLoss) {
   Microdata md = MakeSimpleMicrodata({{1, 2}, {5, 3}});
-  Partition p;
-  p.groups = {{0}, {1}};
+  Partition p = MakePartition({{0}, {1}});
   auto table =
       GeneralizedTable::Build(md, p, TaxonomySet::AllFree(md.table.schema()));
   ASSERT_TRUE(table.ok());
@@ -313,8 +311,7 @@ TEST(ExternalMondrianTest, NaiveExternalizationMatchesPrivacy) {
 
 TEST(GeneralizedTableTest, FromCellsValidates) {
   const Microdata md = HospitalExample();
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   // Valid cells: wider than the snapped extents is fine.
   std::vector<std::vector<CodeInterval>> cells = {
       {{0, 99}, {0, 1}, {0, 99}},

@@ -48,7 +48,8 @@ TEST(MultiAnatomizerTest, SimultaneousDiversityOnCensus) {
   ASSERT_TRUE(partition.ok()) << partition.status().ToString();
   EXPECT_TRUE(ValidateMultiLDiverse(md, partition.value(), 8).ok());
   // Every group carries pairwise-distinct values on BOTH attributes.
-  for (const auto& group : partition.value().groups) {
+  for (GroupId g = 0; g < partition.value().num_groups(); ++g) {
+    const std::span<const RowId> group = partition.value().group(g);
     EXPECT_GE(group.size(), 8u);
     for (size_t s = 0; s < md.sensitive_columns.size(); ++s) {
       std::set<Code> values;
@@ -69,6 +70,32 @@ TEST(MultiAnatomizerTest, FailsWhenAnyAttributeIneligible) {
   MultiAnatomizer anatomizer(MultiAnatomizerOptions{.l = 2});
   EXPECT_EQ(anatomizer.ComputePartition(md).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(MultiAnatomizerTest, StrandedTupleIsAFailedPrecondition) {
+  // Both attributes are 2-eligible, and {0, 1}, {3, 2}, {4, 5} is
+  // simultaneously 2-diverse. The greedy draw still leaves one tuple that
+  // every group it formed conflicts with, under each of these seeds: an
+  // outcome of the data, not a bug.
+  std::vector<AttributeDef> defs;
+  defs.push_back(MakeNumerical("X", 6));
+  defs.push_back(MakeCategorical("A", 4));
+  defs.push_back(MakeCategorical("B", 4));
+  MultiMicrodata md;
+  md.table = Table(std::make_shared<Schema>(std::move(defs)));
+  const Code rows[6][2] = {{1, 3}, {0, 2}, {2, 1}, {1, 3}, {0, 3}, {3, 0}};
+  for (Code x = 0; x < 6; ++x) {
+    const Code row[3] = {x, rows[x][0], rows[x][1]};
+    md.table.AppendRow(row);
+  }
+  md.qi_columns = {0};
+  md.sensitive_columns = {1, 2};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto partition =
+        MultiAnatomizer({.l = 2, .seed = seed}).ComputePartition(md);
+    EXPECT_EQ(partition.status().code(), StatusCode::kFailedPrecondition)
+        << partition.status().ToString();
+  }
 }
 
 TEST(MultiAnatomizerTest, SingleAttributeDegeneratesToAnatomy) {

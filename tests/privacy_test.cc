@@ -15,14 +15,15 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
+
 constexpr Code kDyspepsia = 1;
 constexpr Code kFlu = 2;
 constexpr Code kGastritis = 3;
 constexpr Code kPneumonia = 4;
 
 Partition PaperPartition() {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   return p;
 }
 

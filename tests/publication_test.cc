@@ -27,9 +27,11 @@
 namespace anatomy {
 namespace {
 
+using testing_util::MakePartition;
+using testing_util::TableDigest;
+
 Partition PaperPartition() {
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   return p;
 }
 
@@ -104,6 +106,34 @@ TEST(PublishedTablesTest, AnalystGetsIdenticalEstimates) {
     EXPECT_DOUBLE_EQ(publisher_side.Estimate(query),
                      analyst_side.Estimate(query));
   }
+}
+
+TEST(PublishedTablesTest, SortsAnyStOrderAndRejectsDuplicates) {
+  const AnatomizedTables original = PaperTables();
+  const Table& st = original.st();
+  // The ST's records in reverse: the loader sorts them back into (Group-ID,
+  // As) order, and every group view matches the original.
+  std::vector<RowId> reversed(st.num_rows());
+  for (RowId r = 0; r < st.num_rows(); ++r) {
+    reversed[r] = st.num_rows() - 1 - r;
+  }
+  auto loaded = AnatomizedTables::FromPublishedTables(
+      original.qit(), st.SelectRows(reversed));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(TableDigest(loaded.value().st()),
+            TableDigest(st));
+  for (GroupId g = 0; g < original.num_groups(); ++g) {
+    EXPECT_EQ(loaded.value().group_histogram(g), original.group_histogram(g));
+  }
+  // The first group's second record made a copy of its first: the group's
+  // counts still sum to its size, so only the duplicate check rejects it.
+  Table duplicated = st;
+  duplicated.set(1, 1, duplicated.at(0, 1));
+  duplicated.set(1, 2, duplicated.at(0, 2));
+  EXPECT_EQ(AnatomizedTables::FromPublishedTables(original.qit(), duplicated)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PublishedTablesTest, RejectsInconsistentPublications) {

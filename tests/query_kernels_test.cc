@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <vector>
@@ -419,10 +420,9 @@ ShapedPublication MakeShapedPublication(const std::vector<uint32_t>& sizes,
   std::vector<GroupId> group_of(n);
   RowId next = 0;
   for (uint32_t size : order) {
-    partition.groups.emplace_back(rows.begin() + next,
-                                  rows.begin() + next + size);
+    partition.AddGroup(std::span(rows).subspan(next, size));
     for (RowId i = next; i < next + size; ++i) {
-      group_of[rows[i]] = static_cast<GroupId>(partition.groups.size() - 1);
+      group_of[rows[i]] = static_cast<GroupId>(partition.num_groups() - 1);
     }
     next += size;
   }
@@ -548,10 +548,9 @@ TEST(BlockKernelTest, GroupsCarryTheirCountsAcrossBlocks) {
   Partition partition;
   RowId next = 0;
   for (uint32_t size : sizes) {
-    partition.groups.emplace_back();
-    for (RowId r = next; r < next + size; ++r) {
-      partition.groups.back().push_back(r);
-    }
+    std::vector<RowId> group(size);
+    std::iota(group.begin(), group.end(), next);
+    partition.AddGroup(group);
     next += size;
   }
   auto built = AnatomizedTables::Build(md, partition);

@@ -21,23 +21,7 @@ namespace {
 
 using testing_util::MakeRoundRobinMicrodata;
 using testing_util::MakeSimpleMicrodata;
-
-/// FNV-1a over group structure and row ids: byte-identity anchor.
-uint64_t PartitionDigest(const Partition& p) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(p.groups.size());
-  for (const auto& group : p.groups) {
-    mix(group.size());
-    for (RowId r : group) mix(r);
-  }
-  return h;
-}
+using testing_util::PartitionDigest;
 
 std::vector<Code> SensitiveColumn(const Microdata& md) {
   return md.table.column(md.sensitive_column);
@@ -129,7 +113,7 @@ TEST(ShardedAnatomizerTest, SingleShardIsByteIdenticalToSequential) {
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(result.value().shards_run, 1u);
   EXPECT_EQ(result.value().merged_shards, 0u);
-  EXPECT_EQ(result.value().partition.groups, expected.value().groups);
+  EXPECT_EQ(result.value().partition, expected.value());
   EXPECT_EQ(PartitionDigest(result.value().partition), PartitionDigest(*expected));
 }
 
@@ -227,7 +211,7 @@ TEST(ShardedExternalAnatomizerTest, SingleShardMatchesSequentialPipeline) {
   auto result =
       sharded.RunPublished(md, storage.disk_ptrs, storage.pool_ptrs);
   ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result.value().merged.groups, expected.value().partition.groups);
+  EXPECT_EQ(result.value().merged, expected.value().partition);
   EXPECT_EQ(result.value().io.total(), expected.value().io.total());
   EXPECT_EQ(result.value().commit_io.total(),
             expected.value().commit_io.total());

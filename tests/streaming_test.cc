@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -19,6 +20,8 @@
 
 namespace anatomy {
 namespace {
+
+using testing_util::MakePartition;
 
 // ----------------------------------------------------------- streaming --
 
@@ -54,7 +57,8 @@ TEST(StreamingAnatomizerTest, FinalPartitionIsLDiverse) {
   EXPECT_TRUE(partition.value().ValidateCover(md.n()).ok());
   EXPECT_TRUE(partition.value().ValidateLDiverse(md, 10).ok());
   // Every group has pairwise-distinct sensitive values.
-  for (const auto& group : partition.value().groups) {
+  for (GroupId g = 0; g < partition.value().num_groups(); ++g) {
+    const std::span<const RowId> group = partition.value().group(g);
     std::set<Code> values;
     for (RowId r : group) values.insert(md.sensitive_value(r));
     EXPECT_EQ(values.size(), group.size());
@@ -107,7 +111,8 @@ TEST(StreamingAnatomizerTest, MatchesBatchOnSkewedStream) {
   ASSERT_TRUE(partition.ok()) << partition.status().ToString();
   EXPECT_TRUE(partition.value().ValidateCover(next_row).ok());
   // l-diversity via distinct values per group.
-  for (const auto& group : partition.value().groups) {
+  for (GroupId g = 0; g < partition.value().num_groups(); ++g) {
+    const std::span<const RowId> group = partition.value().group(g);
     EXPECT_GE(group.size(), static_cast<size_t>(l));
   }
 }
@@ -123,8 +128,9 @@ uint64_t PartitionDigest(const Partition& p) {
       h *= 1099511628211ULL;
     }
   };
-  mix(p.groups.size());
-  for (const auto& g : p.groups) {
+  mix(p.num_groups());
+  for (GroupId i = 0; i < p.num_groups(); ++i) {
+    const std::span<const RowId> g = p.group(i);
     mix(0xfeedfaceULL);
     mix(g.size());
     for (RowId r : g) mix(r);
@@ -146,7 +152,7 @@ TEST(StreamingAnatomizerTest, GoldenDigestsSurviveResiduePlacementRewrite) {
     }
     auto p = s.Finish();
     ASSERT_TRUE(p.ok()) << p.status().ToString();
-    EXPECT_EQ(p.value().groups.size(), 24u);
+    EXPECT_EQ(p.value().num_groups(), 24u);
     EXPECT_EQ(PartitionDigest(p.value()), 0x66dd2550205d0f42ULL);
   }
   {
@@ -160,7 +166,7 @@ TEST(StreamingAnatomizerTest, GoldenDigestsSurviveResiduePlacementRewrite) {
     }
     auto p = s.Finish();
     ASSERT_TRUE(p.ok()) << p.status().ToString();
-    EXPECT_EQ(p.value().groups.size(), 40u);
+    EXPECT_EQ(p.value().num_groups(), 40u);
     EXPECT_EQ(PartitionDigest(p.value()), 0x2cd0a06eae942ea3ULL);
   }
 }
@@ -177,7 +183,7 @@ TEST(StreamingAnatomizerTest, FinishDrainsBelowEmitThreshold) {
   EXPECT_EQ(streaming.emitted_groups(), 0u);
   auto partition = streaming.Finish();
   ASSERT_TRUE(partition.ok()) << partition.status().ToString();
-  EXPECT_EQ(partition.value().groups.size(), 2u);
+  EXPECT_EQ(partition.value().num_groups(), 2u);
   EXPECT_TRUE(partition.value().ValidateCover(8).ok());
 }
 
@@ -232,8 +238,8 @@ TEST(StreamingAnatomizerTest, FinishAmendsFlushedGroupsOnlyAsLastResort) {
   EXPECT_EQ(amendment.group, 1u);
   EXPECT_EQ(amendment.row, 4u);
   EXPECT_EQ(amendment.value, 0);
-  EXPECT_EQ(partition.value().groups[1],
-            (std::vector<RowId>{2, 3, 4}));
+  EXPECT_TRUE(std::ranges::equal(partition.value().group(1),
+                                 std::vector<RowId>{2, 3, 4}));
 
   // The final delta window carries exactly the amendment record (no
   // unflushed groups remain).
@@ -341,9 +347,9 @@ TEST(StreamingAnatomizerTest, ReplayOfWindowsPlusFinalRebuildsPartition) {
     ReplayInto(&pool, file.get(), replayed);
   }
   const Partition& p = partition.value();
-  ASSERT_EQ(replayed.size(), p.groups.size());
-  for (GroupId g = 0; g < p.groups.size(); ++g) {
-    std::multiset<int32_t> expected(p.groups[g].begin(), p.groups[g].end());
+  ASSERT_EQ(replayed.size(), p.num_groups());
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    std::multiset<int32_t> expected(p.group(g).begin(), p.group(g).end());
     EXPECT_EQ(replayed[static_cast<int32_t>(g)], expected) << "group " << g;
   }
 
@@ -435,10 +441,10 @@ TEST(StreamingAnatomizerTest, PropertySweepLDiversityAndFlushConsistency) {
             for (auto& file : files) {
               ReplayInto(&pool, file.get(), replayed);
             }
-            ASSERT_EQ(replayed.size(), p.groups.size());
-            for (GroupId g = 0; g < p.groups.size(); ++g) {
-              std::multiset<int32_t> expected(p.groups[g].begin(),
-                                              p.groups[g].end());
+            ASSERT_EQ(replayed.size(), p.num_groups());
+            for (GroupId g = 0; g < p.num_groups(); ++g) {
+              std::multiset<int32_t> expected(p.group(g).begin(),
+                                              p.group(g).end());
               EXPECT_EQ(replayed[static_cast<int32_t>(g)], expected);
             }
           }
@@ -530,8 +536,7 @@ TEST(StreamingAnatomizerTest, FlushWindowSurvivesMidStreamFault) {
 
 TEST(ExternalJoinTest, MatchesInMemoryJoin) {
   const Microdata md = HospitalExample();
-  Partition p;
-  p.groups = {{0, 1, 2, 3}, {4, 5, 6, 7}};
+  Partition p = MakePartition({{0, 1, 2, 3}, {4, 5, 6, 7}});
   auto tables = AnatomizedTables::Build(md, p);
   ASSERT_TRUE(tables.ok());
   const Table expected = JoinQitSt(tables.value());

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "anatomy/partition.h"
 #include "common/status.h"
 #include "query/predicate.h"
 #include "storage/publication.h"
@@ -53,6 +54,48 @@ inline AttributePredicate RangePredicate(size_t qi_index, Code lo, Code hi) {
   std::vector<Code> values;
   for (Code v = lo; v <= hi; ++v) values.push_back(v);
   return AttributePredicate(qi_index, std::move(values));
+}
+
+/// FNV-1a, fed 64-bit words one byte at a time, low byte first.
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Mix(uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// Over the group count, then each group's size and row ids in order: the
+/// byte-identity anchor of a partition.
+inline uint64_t PartitionDigest(const Partition& p) {
+  Fnv1a fnv;
+  fnv.Mix(p.num_groups());
+  for (GroupId g = 0; g < p.num_groups(); ++g) {
+    fnv.Mix(p.group(g).size());
+    for (RowId r : p.group(g)) fnv.Mix(r);
+  }
+  return fnv.h;
+}
+
+/// Over the shape, then every code column by column.
+inline uint64_t TableDigest(const Table& table) {
+  Fnv1a fnv;
+  fnv.Mix(table.num_rows());
+  fnv.Mix(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    for (Code v : table.column(c)) fnv.Mix(static_cast<uint32_t>(v));
+  }
+  return fnv.h;
+}
+
+/// The partition with these groups, in order.
+inline Partition MakePartition(
+    const std::vector<std::vector<RowId>>& groups) {
+  Partition p;
+  for (const std::vector<RowId>& group : groups) p.AddGroup(group);
+  return p;
 }
 
 /// Every record of one published file, one vector each.
