@@ -63,6 +63,13 @@ struct ShardStorage {
   std::vector<BufferPool*> pool_ptrs;
 };
 
+// The generated census every other case reads: a change to the generator,
+// or to an Rng draw it makes, fails here first.
+TEST(GoldenTest, Census) {
+  EXPECT_EQ(TableDigest(GenerateCensus(kRows, kCensusSeed)),
+            0x964530c504f0b9bcULL);
+}
+
 TEST(GoldenTest, Anatomizer) {
   auto p = Anatomizer({.l = kL, .seed = 3}).ComputePartition(Occ5().microdata);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
