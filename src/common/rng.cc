@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace anatomy {
@@ -95,8 +96,14 @@ double Rng::NextGaussian() {
 uint64_t Rng::NextZipf(uint64_t n, double theta) {
   ANATOMY_CHECK(n > 0);
   if (theta <= 0.0 || n == 1) return NextBounded(n);
-  // Rejection-inversion (Hörmann & Derflinger 1996) over ranks 1..n; the
+  // Rejection-inversion (Hörmann & Derflinger 1996), in the form of Apache
+  // Commons RNG's RejectionInversionZipfSampler, over ranks 1..n; the
   // returned value is rank-1 so it is 0-based like the rest of the library.
+  // H is an antiderivative of the hat x^-q. A proposal u is uniform on
+  // (H(3/2) - 1, H(n + 1/2)] and k rounds H^-1(u), so rank 1 is proposed
+  // with mass 1 = 1^-q and rank k >= 2 with H(k + 1/2) - H(k - 1/2) >= k^-q;
+  // keeping a proposed k with probability k^-q / that mass leaves each rank
+  // exactly its Zipf weight.
   const double q = theta;
   auto h = [q](double x) {
     return (q == 1.0) ? std::log(x) : (std::pow(x, 1.0 - q) - 1.0) / (1.0 - q);
@@ -105,17 +112,17 @@ uint64_t Rng::NextZipf(uint64_t n, double theta) {
     return (q == 1.0) ? std::exp(x)
                       : std::pow(1.0 + x * (1.0 - q), 1.0 / (1.0 - q));
   };
-  const double hx0 = h(0.5) - 1.0;
-  const double hn = h(static_cast<double>(n) + 0.5);
+  const double h_x1 = h(1.5) - 1.0;
+  const double h_n = h(static_cast<double>(n) + 0.5);
+  // Squeeze: a k within s of H^-1(u) is kept without evaluating the test.
+  const double s = 2.0 - h_inv(h(2.5) - std::pow(2.0, -q));
   for (;;) {
-    const double u = hx0 + NextDouble() * (hn - hx0);
+    const double u = h_n + NextDouble() * (h_x1 - h_n);
     const double x = h_inv(u);
-    const uint64_t k = static_cast<uint64_t>(x + 0.5);
+    const uint64_t k =
+        std::clamp<uint64_t>(static_cast<uint64_t>(x + 0.5), 1, n);
     const double kd = static_cast<double>(k);
-    if (k < 1) continue;
-    if (k > n) continue;
-    if (u >= h(kd + 0.5) - std::pow(kd, -q)) continue;
-    return k - 1;
+    if (kd - x <= s || u >= h(kd + 0.5) - std::pow(kd, -q)) return k - 1;
   }
 }
 
