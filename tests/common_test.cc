@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -195,6 +197,35 @@ TEST(RngTest, ZipfThetaZeroIsUniform) {
   int head = 0;
   for (int i = 0; i < 20000; ++i) head += (rng.NextZipf(100, 0.0) < 10);
   EXPECT_NEAR(head, 2000, 300);
+}
+
+TEST(RngTest, ZipfMatchesPmf) {
+  // Each of the first 20 ranks lands within 5 sigma of its share of the
+  // draws, k^-theta / sum_j j^-theta. (82, 0.55) is the census generator's
+  // country tail.
+  constexpr int kDraws = 200000;
+  constexpr int kRanks = 20;
+  const std::pair<uint64_t, double> cases[] = {
+      {82, 0.55}, {100, 0.9}, {1000, 1.0}, {1000000, 0.8}};
+  for (const auto& [n, theta] : cases) {
+    double norm = 0;
+    for (uint64_t j = 1; j <= n; ++j) {
+      norm += std::pow(static_cast<double>(j), -theta);
+    }
+    Rng rng(n);
+    std::vector<int> counts(kRanks, 0);
+    for (int i = 0; i < kDraws; ++i) {
+      const uint64_t v = rng.NextZipf(n, theta);
+      ASSERT_LT(v, n);
+      if (v < kRanks) ++counts[v];
+    }
+    for (int k = 0; k < kRanks; ++k) {
+      const double p = std::pow(k + 1.0, -theta) / norm;
+      const double sigma = std::sqrt(kDraws * p * (1 - p));
+      EXPECT_NEAR(counts[k], kDraws * p, 5 * sigma)
+          << "n = " << n << ", theta = " << theta << ", rank " << k + 1;
+    }
+  }
 }
 
 TEST(RngTest, SampleWithoutReplacementDistinct) {

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "anatomy/eligibility.h"
@@ -122,6 +124,19 @@ TEST(CensusGeneratorTest, MarginalsAreNonUniform) {
   // Age entropy well below uniform log2(78) = 6.3 bits.
   EXPECT_LT(ColumnEntropy(t, kAge), 6.0);
   EXPECT_GT(ColumnEntropy(t, kAge), 3.0);
+}
+
+TEST(CensusGeneratorTest, CountryIsNativeThenAZipfTail) {
+  // 72% native-born (code 0); the other rows follow Zipf(0.55) over the 82
+  // remaining codes, whose top rank takes ~6.9% of them.
+  const Table t = GenerateCensus(30000, 42);
+  const std::vector<uint32_t> country = ColumnHistogram(t, kCountry);
+  const double rows = t.num_rows();
+  EXPECT_NEAR(country[0] / rows, 0.72, 0.02);
+  const double non_native = rows - country[0];
+  for (size_t c = 1; c < country.size(); ++c) {
+    EXPECT_LE(country[c], 0.10 * non_native) << "country code " << c;
+  }
 }
 
 // ------------------------------------------------------------ Dataset --
