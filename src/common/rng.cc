@@ -69,7 +69,7 @@ double Rng::NextDouble() {
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
-size_t Rng::NextDiscrete(const std::vector<double>& weights) {
+size_t Rng::NextDiscrete(std::span<const double> weights) {
   double total = 0;
   for (double w : weights) {
     ANATOMY_CHECK(w >= 0);

@@ -10,6 +10,7 @@
 #define ANATOMY_COMMON_RNG_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -54,7 +55,7 @@ class Rng {
 
   /// Draws an index in [0, weights.size()) with probability proportional to
   /// weights[i]. Weights must be non-negative with a positive sum.
-  size_t NextDiscrete(const std::vector<double>& weights);
+  size_t NextDiscrete(std::span<const double> weights);
 
   /// Standard normal via Box-Muller.
   double NextGaussian();

@@ -1,6 +1,7 @@
 #include "data/census_generator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "data/census.h"
@@ -36,10 +37,8 @@ CensusGenerator::CensusGenerator(const CensusGeneratorOptions& options)
 
 int CensusGenerator::SampleProfile(Rng& rng) {
   // Mildly skewed profile mix (blue-collar profiles are more common).
-  // Function-local static reference: intentionally leaked to keep the static
-  // trivially destructible (style-guide rule on static storage duration).
-  static const auto& kProfileWeights = *new std::vector<double>{
-      1.6, 1.5, 1.3, 1.2, 1.0, 0.9, 0.8, 0.7};
+  static constexpr double kProfileWeights[] = {1.6, 1.5, 1.3, 1.2,
+                                               1.0, 0.9, 0.8, 0.7};
   return static_cast<int>(rng.NextDiscrete(kProfileWeights));
 }
 
@@ -66,18 +65,15 @@ Code CensusGenerator::SampleEducation(int profile, Rng& rng) {
 Code CensusGenerator::SampleMarital(Code age, Rng& rng) {
   // Age drives marital status: codes {0 never-married, 1 married,
   // 2 separated, 3 divorced, 4 widowed, 5 spouse-absent}.
+  static constexpr double kWeights[4][6] = {
+      {8.0, 1.5, 0.1, 0.1, 0.01, 0.2},  // under 25
+      {3.0, 5.5, 0.4, 0.8, 0.05, 0.3},  // 25 to 39
+      {1.0, 6.0, 0.5, 1.6, 0.4, 0.3},   // 40 to 59
+      {0.5, 4.5, 0.3, 1.2, 3.0, 0.3},   // 60 and over
+  };
   const int years = 15 + age;
-  std::vector<double> w(6);
-  if (years < 25) {
-    w = {8.0, 1.5, 0.1, 0.1, 0.01, 0.2};
-  } else if (years < 40) {
-    w = {3.0, 5.5, 0.4, 0.8, 0.05, 0.3};
-  } else if (years < 60) {
-    w = {1.0, 6.0, 0.5, 1.6, 0.4, 0.3};
-  } else {
-    w = {0.5, 4.5, 0.3, 1.2, 3.0, 0.3};
-  }
-  return static_cast<Code>(rng.NextDiscrete(w));
+  const int band = years < 25 ? 0 : years < 40 ? 1 : years < 60 ? 2 : 3;
+  return static_cast<Code>(rng.NextDiscrete(kWeights[band]));
 }
 
 Code CensusGenerator::SampleCountry(Rng& rng) {
@@ -112,7 +108,16 @@ Code CensusGenerator::SampleOccupation(int profile, Code education, Rng& rng) {
   if (rng.NextBool(0.5)) {
     const Code band_start =
         static_cast<Code>((profile * 6 + (education / 6) * 17) % 50);
-    static const auto& kBand = *new std::vector<double>(GeometricWeights(10, 0.75));
+    // GeometricWeights(10, 0.75), by the same running product.
+    static constexpr auto kBand = [] {
+      std::array<double, 10> w{};
+      double cur = 1.0;
+      for (double& x : w) {
+        x = cur;
+        cur *= 0.75;
+      }
+      return w;
+    }();
     return (band_start + static_cast<Code>(rng.NextDiscrete(kBand))) % 50;
   }
   return static_cast<Code>(rng.NextBounded(50));
