@@ -1,10 +1,18 @@
 #include "anatomy/partition.h"
 
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
 namespace anatomy {
+
+Partition::Partition(std::vector<RowId> rows, std::vector<RowId> offsets)
+    : rows_(std::move(rows)), offsets_(std::move(offsets)) {
+  ANATOMY_CHECK(!offsets_.empty() && offsets_.front() == 0 &&
+                offsets_.back() == rows_.size());
+  ANATOMY_CHECK(std::ranges::is_sorted(offsets_));
+}
 
 void Partition::AddGroup(std::span<const RowId> rows) {
   rows_.insert(rows_.end(), rows.begin(), rows.end());
@@ -77,18 +85,22 @@ Partition PartitionWithResidues(
   std::vector<std::pair<GroupId, RowId>> sorted(residues.begin(),
                                                 residues.end());
   std::ranges::stable_sort(sorted, {}, &std::pair<GroupId, RowId>::first);
-  Partition partition;
-  std::vector<RowId> group;
+  const size_t num_groups = drawn.size() / l;
+  std::vector<RowId> rows;
+  rows.reserve(drawn.size() + sorted.size());
+  std::vector<RowId> offsets;
+  offsets.reserve(num_groups + 1);
+  offsets.push_back(0);
   auto next = sorted.begin();
-  for (GroupId g = 0; g < drawn.size() / l; ++g) {
-    group.assign(drawn.begin() + g * l, drawn.begin() + (g + 1) * l);
+  for (GroupId g = 0; g < num_groups; ++g) {
+    rows.insert(rows.end(), drawn.begin() + g * l, drawn.begin() + (g + 1) * l);
     for (; next != sorted.end() && next->first == g; ++next) {
-      group.push_back(next->second);
+      rows.push_back(next->second);
     }
-    partition.AddGroup(group);
+    offsets.push_back(static_cast<RowId>(rows.size()));
   }
   ANATOMY_CHECK(next == sorted.end());
-  return partition;
+  return Partition(std::move(rows), std::move(offsets));
 }
 
 std::vector<std::pair<Code, uint32_t>> GroupSensitiveHistogram(

@@ -24,6 +24,12 @@ using GroupId = uint32_t;
 /// held flat: one row-id array, and m + 1 offsets into it.
 class Partition {
  public:
+  Partition() = default;
+
+  /// Adopts a flat layout: group g is rows[offsets[g], offsets[g + 1]).
+  /// CHECKs that offsets start at 0, never decrease and end at rows.size().
+  Partition(std::vector<RowId> rows, std::vector<RowId> offsets);
+
   size_t num_groups() const { return offsets_.size() - 1; }
 
   /// The rows of group g, in the order the producer placed them.

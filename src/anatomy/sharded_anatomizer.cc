@@ -36,17 +36,30 @@ bool ShardEligible(std::span<const uint32_t> counts, uint64_t rows, int l) {
   return true;
 }
 
-/// Appends `partition`'s groups to `merged`, translating the shard-local row
-/// ids through `rows` (local index -> global RowId). Group ids are
-/// prefix-offset implicitly: groups are appended in shard order.
-void AppendShardPartition(const Partition& partition,
-                          const std::vector<RowId>& rows, Partition& merged) {
-  std::vector<RowId> global;
-  for (GroupId g = 0; g < partition.num_groups(); ++g) {
-    global.clear();
-    for (RowId r : partition.group(g)) global.push_back(rows[r]);
-    merged.AddGroup(global);
+/// The shards' groups in shard order as one partition, each shard's local
+/// row ids translated through its row list (local index -> global RowId).
+/// Group ids are prefix-offset implicitly. The rows are written straight into
+/// arrays sized once.
+Partition MergeShardPartitions(std::span<const Partition> parts,
+                               std::span<const std::vector<RowId>> shard_rows) {
+  size_t num_rows = 0;
+  size_t num_groups = 0;
+  for (const Partition& part : parts) {
+    num_rows += part.TotalRows();
+    num_groups += part.num_groups();
   }
+  std::vector<RowId> rows;
+  rows.reserve(num_rows);
+  std::vector<RowId> offsets;
+  offsets.reserve(num_groups + 1);
+  offsets.push_back(0);
+  for (size_t s = 0; s < parts.size(); ++s) {
+    for (GroupId g = 0; g < parts[s].num_groups(); ++g) {
+      for (RowId r : parts[s].group(g)) rows.push_back(shard_rows[s][r]);
+      offsets.push_back(static_cast<RowId>(rows.size()));
+    }
+  }
+  return Partition(std::move(rows), std::move(offsets));
 }
 
 }  // namespace
@@ -178,9 +191,8 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
     pool.Wait();
   }
 
-  ShardedAnatomizeResult result;
-  result.shards_run = num_shards;
-  result.merged_shards = split.merges;
+  std::vector<Partition> parts;
+  parts.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     if (!shard_partitions[s].ok()) {
       return Status(shard_partitions[s].status().code(),
@@ -188,9 +200,12 @@ StatusOr<ShardedAnatomizeResult> ShardedAnatomizer::Run(
                         std::to_string(num_shards) + " failed: " +
                         shard_partitions[s].status().message());
     }
-    AppendShardPartition(shard_partitions[s].value(), split.shard_rows[s],
-                         result.partition);
+    parts.push_back(std::move(shard_partitions[s]).value());
   }
+  ShardedAnatomizeResult result;
+  result.shards_run = num_shards;
+  result.merged_shards = split.merges;
+  result.partition = MergeShardPartitions(parts, split.shard_rows);
 
   if (obs::MetricsEnabled()) {
     obs::MetricRegistry& registry = obs::MetricRegistry::Global();
@@ -272,15 +287,18 @@ StatusOr<ShardedPublishResult> ShardedExternalAnatomizer::RunPublished(
   result.shards_run = num_shards;
   result.merged_shards = split.merges;
   result.manifests.reserve(num_shards);
+  std::vector<Partition> parts;
+  parts.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     ExternalAnatomizeResult& shard = shard_results[s].value();
-    AppendShardPartition(shard.partition, split.shard_rows[s], result.merged);
     result.shard_groups.push_back(
         static_cast<GroupId>(shard.partition.num_groups()));
+    parts.push_back(std::move(shard.partition));
     result.manifests.push_back(std::move(shard.manifest));
     result.io += shard.io;
     result.commit_io += shard.commit_io;
   }
+  result.merged = MergeShardPartitions(parts, split.shard_rows);
 
   if (obs::MetricsEnabled()) {
     obs::MetricRegistry& registry = obs::MetricRegistry::Global();
