@@ -14,8 +14,8 @@
 #   tools/check_sanitizers.sh kernels      # both sanitizers, query kernels, huge-page
 #                                          # block, node partials
 #   tools/check_sanitizers.sh sharded      # both sanitizers, sharded build + streaming
-#   tools/check_sanitizers.sh groups       # both sanitizers, every partition producer
-#                                          # + the tables' group views
+#   tools/check_sanitizers.sh groups       # both sanitizers, every partition producer,
+#                                          # the tables' group views + the generator
 #   tools/check_sanitizers.sh scaling      # both sanitizers, parallel query path
 #   tools/check_sanitizers.sh chaos        # both sanitizers, dist serving + chaos sweep
 #   tools/check_sanitizers.sh slo          # both sanitizers, SLO + flight recorder + tracing
@@ -67,8 +67,9 @@ if [[ $# -ge 1 ]]; then
       # vector's bounds. Every producer (in-memory, sharded, external,
       # streaming, multi-sensitive, Mondrian, full-domain, with the golden
       # digests) and every reader of the tables (publication, bundle) runs
-      # under ASan+UBSan; the sharded builds give TSan real threads.
-      extra=(-R '^(golden_test|anatomizer_test|anatomized_tables_test|external_anatomizer_test|multi_sensitive_test|publication_test|bundle_test|mondrian_test|full_domain_test|sharded_anatomizer_test|streaming_test)$')
+      # under ASan+UBSan; the sharded builds give TSan real threads. The
+      # census generator (data_test) feeds every one of those producers.
+      extra=(-R '^(golden_test|data_test|anatomizer_test|anatomized_tables_test|external_anatomizer_test|multi_sensitive_test|publication_test|bundle_test|mondrian_test|full_domain_test|sharded_anatomizer_test|streaming_test)$')
       shift
       ;;
     scaling)
