@@ -108,15 +108,10 @@ Code CensusGenerator::SampleOccupation(int profile, Code education, Rng& rng) {
   if (rng.NextBool(0.5)) {
     const Code band_start =
         static_cast<Code>((profile * 6 + (education / 6) * 17) % 50);
-    // GeometricWeights(10, 0.75), by the same running product.
-    static constexpr auto kBand = [] {
-      std::array<double, 10> w{};
-      double cur = 1.0;
-      for (double& x : w) {
-        x = cur;
-        cur *= 0.75;
-      }
-      return w;
+    static const auto kBand = [] {
+      std::array<double, 10> band{};
+      std::ranges::copy(GeometricWeights(10, 0.75), band.begin());
+      return band;
     }();
     return (band_start + static_cast<Code>(rng.NextDiscrete(kBand))) % 50;
   }
